@@ -16,7 +16,11 @@
 //!
 //! The iteration sets come from the plan's schedules (naive or
 //! closed-form), so the machine measures exactly the run-time the paper's
-//! compile-time optimizations buy.
+//! compile-time optimizations buy. The node threads and the template's
+//! phases live in the execution engine ([`crate::executor`]);
+//! [`run_distributed`] is its cold entry point. This module holds the
+//! wire format, the options, and the compiled update and receive paths
+//! the engine runs.
 //!
 //! Two communication modes implement the template
 //! ([`CommMode`], selected via [`DistOptions`]):
@@ -53,22 +57,23 @@
 
 use crate::darray::DistArray;
 use crate::error::MachineError;
+use crate::executor::{prepare_run, DistExecutor};
 use crate::net::ChaosPlan;
-use crate::obs::{trace_plan, EventKind, Phase, Tracer, NULL_TRACER};
+use crate::obs::{EventKind, Tracer, NULL_TRACER};
+use crate::proc::ProcPool;
 use crate::stats::{ExecReport, NodeStats};
 use crate::transport::{
-    await_until, AwaitFail, Endpoint, FaultPlan, Frame, ProtoTimeouts, RetryPolicy, TransportKind,
+    await_until, AwaitFail, Endpoint, FaultPlan, ProtoTimeouts, RetryPolicy, TransportKind,
     WirePayload,
 };
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
+use std::sync::Arc;
 use std::time::Duration;
-use vcal_core::{BinOp, Clause, CmpOp, Expr, Guard, Ordering};
+use vcal_core::{BinOp, Clause, CmpOp, Expr, Guard};
 use vcal_decomp::Decomp1;
 use vcal_spmd::{
-    simd, AccessPattern, CompiledKernel, CompiledNode, CompiledSchedule, ExecRun, FusedShape,
-    NodePlan, SimdPolicy, SlotAccess, SlotRef, SpmdPlan,
+    simd, AccessPattern, CompiledKernel, CompiledNode, ExecRun, FusedShape, NodePlan, SimdPolicy,
+    SlotAccess, SlotRef, SpmdPlan,
 };
 
 /// A tagged value message.
@@ -147,25 +152,6 @@ pub enum CommMode {
     /// One vector message per planned communication run.
     #[default]
     Vectorized,
-}
-
-/// Legacy deterministic fault injection: drop one wire message of one
-/// node. Kept as a compatibility shim — convert it into the richer
-/// seed-driven [`FaultPlan`] via `From`/`Into`.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultInjection {
-    /// Node whose outgoing message is dropped.
-    pub drop_from: i64,
-    /// Which of its wire messages (0-based send order) to drop —
-    /// elements in [`CommMode::Element`], packets in
-    /// [`CommMode::Vectorized`].
-    pub drop_nth: u64,
-}
-
-impl From<FaultInjection> for FaultPlan {
-    fn from(f: FaultInjection) -> FaultPlan {
-        FaultPlan::drop_nth(f.drop_from, f.drop_nth)
-    }
 }
 
 /// Execution options for the distributed machine.
@@ -340,28 +326,8 @@ pub(crate) enum WriteOp {
     },
 }
 
-/// What one node thread returns: id, its (unmodified) local memories,
-/// the local writes it wants committed, statistics, per-destination
-/// send counts, and its error state. Writes are applied by the host
-/// only when every node succeeded, so a failed run restores state.
-pub(crate) type NodeOutcome = (
-    i64,
-    BTreeMap<String, Vec<f64>>,
-    Vec<WriteOp>,
-    NodeStats,
-    Vec<u64>,
-    Result<(), MachineError>,
-);
-
-/// Per-node worker state handed to its thread.
-struct Worker {
-    p: i64,
-    locals: BTreeMap<String, Vec<f64>>,
-    rx: Receiver<Frame<Wire>>,
-}
-
-/// A zero part of the right local size — the last-resort placeholder
-/// when a node thread died without returning its memories. A negative
+/// A zero part of the right local size — the doacross machine's
+/// placeholder when a node thread died without returning its memories. A negative
 /// local count means the decomposition does not cover node `p` at all:
 /// that is a plan/decomposition mismatch and is reported as a typed
 /// error instead of being silently clamped to an empty part.
@@ -381,18 +347,18 @@ pub(crate) fn zero_part(dec: &Decomp1, p: i64) -> Result<Vec<f64>, MachineError>
 /// never left partially disassembled.
 pub(crate) fn disassemble(
     arrays: &mut BTreeMap<String, DistArray>,
-    referenced: &[String],
+    referenced: &[(&str, &Decomp1)],
     pmax: i64,
 ) -> Result<Vec<BTreeMap<String, Vec<f64>>>, MachineError> {
     let mut taken: Vec<(String, DistArray)> = Vec::with_capacity(referenced.len());
-    for name in referenced {
-        match arrays.remove(name) {
-            Some(da) => taken.push((name.clone(), da)),
+    for &(name, _) in referenced {
+        match arrays.remove_entry(name) {
+            Some(entry) => taken.push(entry),
             None => {
                 for (n, da) in taken {
                     arrays.insert(n, da);
                 }
-                return Err(MachineError::UnknownArray(name.clone()));
+                return Err(MachineError::UnknownArray(name.to_string()));
             }
         }
     }
@@ -405,112 +371,6 @@ pub(crate) fn disassemble(
         }
     }
     Ok(per_node)
-}
-
-/// The host-side tail every distributed execution shares (cold scoped
-/// threads and the persistent pool alike): order the outcomes, pick the
-/// run's root-cause error, validate all writes, commit them
-/// all-or-nothing, and reassemble the distributed images — on error,
-/// from the *unmodified* local memories, restoring pre-run state.
-pub(crate) fn finalize_run(
-    lhs_array: &str,
-    referenced: &[String],
-    decomps: &BTreeMap<String, Decomp1>,
-    mut results: Vec<NodeOutcome>,
-    arrays: &mut BTreeMap<String, DistArray>,
-    tracer: &dyn Tracer,
-) -> Result<ExecReport, MachineError> {
-    results.sort_by_key(|(p, ..)| *p);
-
-    // pick the run's error: a panic or a dead worker process is the
-    // root cause and wins over the secondary Unrecoverable/Missing*
-    // errors it induces on peers
-    let root_cause = |e: &MachineError| {
-        matches!(
-            e,
-            MachineError::NodePanicked { .. } | MachineError::Transport { .. }
-        )
-    };
-    let mut first_err: Option<MachineError> = None;
-    for (.., res) in &results {
-        if let Err(e) = res {
-            match &first_err {
-                None => first_err = Some(e.clone()),
-                Some(have) if !root_cause(have) && root_cause(e) => first_err = Some(e.clone()),
-                Some(_) => {}
-            }
-        }
-    }
-
-    // validate every write before committing any (all-or-nothing)
-    if first_err.is_none() {
-        'validate: for (p, locals, writes, ..) in &results {
-            let len = locals.get(lhs_array).map_or(0, Vec::len);
-            for w in writes {
-                let bad = match w {
-                    WriteOp::El(off, _) => (*off >= len).then_some((*off, 1usize)),
-                    WriteOp::Dense { base, values } => {
-                        (base + values.len() > len).then_some((*base, values.len()))
-                    }
-                };
-                if let Some((off, span)) = bad {
-                    first_err = Some(MachineError::PlanMismatch(format!(
-                        "write span [{off}, {}) outside node {p}'s local part (len {len})",
-                        off + span
-                    )));
-                    break 'validate;
-                }
-            }
-        }
-    }
-    let commit = first_err.is_none();
-
-    // reassemble the distributed images (on error: pre-run state)
-    let commit_t0 = tracer.enabled().then(std::time::Instant::now);
-    let mut parts_by_name: BTreeMap<String, Vec<Vec<f64>>> = BTreeMap::new();
-    let mut report = ExecReport::default();
-    for (p, mut locals, writes, stats, sent_to, _res) in results {
-        if commit {
-            if let Some(lhs_local) = locals.get_mut(lhs_array) {
-                for w in writes {
-                    match w {
-                        WriteOp::El(off, v) => lhs_local[off] = v, // validated above
-                        WriteOp::Dense { base, values } => {
-                            lhs_local[base..base + values.len()].copy_from_slice(&values)
-                        }
-                    }
-                }
-            }
-        }
-        for name in referenced {
-            let part = match locals.remove(name) {
-                Some(part) => part,
-                None => match zero_part(&decomps[name], p) {
-                    Ok(z) => z,
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                        Vec::new()
-                    }
-                },
-            };
-            parts_by_name.entry(name.clone()).or_default().push(part);
-        }
-        report.nodes.push(stats);
-        report.traffic.push(sent_to);
-    }
-    for (name, parts) in parts_by_name {
-        let dec = decomps[&name].clone();
-        arrays.insert(name, DistArray::from_parts(dec, parts));
-    }
-    if let Some(t0) = commit_t0 {
-        tracer.timing(crate::obs::HOST, Phase::Commit, t0.elapsed());
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(report),
-    }
 }
 
 /// Execute a `//` clause on the distributed-memory machine.
@@ -535,6 +395,12 @@ pub fn run_distributed(
 /// With a disabled tracer the instrumented paths cost one cached
 /// branch each — [`run_distributed`] simply passes
 /// [`crate::obs::NULL_TRACER`].
+///
+/// A cold run is the persistent engine with a throwaway pool: the plan
+/// is prepared ([`crate::prepare_run`]) against the arrays' current
+/// decompositions and executed as a 1-job wave on a fresh
+/// [`crate::DistExecutor`] (or, for the socket backends, a fresh pool of
+/// worker processes), which is torn down on return.
 pub fn run_distributed_traced(
     plan: &SpmdPlan,
     clause: &Clause,
@@ -542,439 +408,28 @@ pub fn run_distributed_traced(
     opts: DistOptions,
     tracer: &dyn Tracer,
 ) -> Result<ExecReport, MachineError> {
-    if plan.ordering != Ordering::Par {
-        return Err(MachineError::SequentialClause);
-    }
-    if opts.transport != TransportKind::InProc {
-        // socket backends: a one-shot pool of real worker processes
-        // (persistent pools live in `DistSession`)
-        return crate::proc::run_one_shot(plan, clause, arrays, opts, tracer);
-    }
-    let pmax = plan.pmax;
-
-    // collect referenced arrays and their decompositions
-    let node0 = plan
-        .nodes
-        .first()
-        .ok_or_else(|| MachineError::PlanMismatch("plan has no nodes".into()))?;
-    let mut referenced: Vec<String> = vec![plan.lhs_array.clone()];
-    for rp in &node0.resides {
-        if !referenced.contains(&rp.array) {
-            referenced.push(rp.array.clone());
-        }
-    }
-    let mut decomps: BTreeMap<String, Decomp1> = BTreeMap::new();
-    for name in &referenced {
-        let da = arrays
-            .get(name)
-            .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
-        if da.decomp().pmax() != pmax {
-            return Err(MachineError::PlanMismatch(format!(
-                "array `{name}` decomposed over {} processors, plan has {pmax}",
-                da.decomp().pmax()
-            )));
-        }
-        decomps.insert(name.clone(), da.decomp().clone());
-    }
-    let dec_lhs = decomps[&plan.lhs_array].clone();
-
-    // resolve expressions/guards per node before touching the arrays,
-    // so a malformed plan is a clean typed error with state intact
-    let mut rexpr_per_node: Vec<RExpr> = Vec::with_capacity(plan.nodes.len());
-    let mut rguard_per_node: Vec<RGuard> = Vec::with_capacity(plan.nodes.len());
-    for n in &plan.nodes {
-        rexpr_per_node.push(resolve_expr(&clause.rhs, n)?);
-        rguard_per_node.push(resolve_guard(&clause.guard, n)?);
-    }
-
-    // compile the kernel + interior/boundary execution tables; a
-    // naive-guard plan yields no tables and keeps the legacy element
-    // path (identical to what the persistent executor does, so cold
-    // and warm runs execute — and trace — the same way)
-    let compiled = CompiledSchedule::compile_exec(plan, clause, &decomps);
-
-    // record which Table I row fired for every schedule (plan span)
-    trace_plan(tracer, plan);
-
-    // disassemble the distributed images into per-node local memories
-    let per_node = disassemble(arrays, &referenced, pmax)?;
-
-    // channels: one receiver per node, senders shared
-    let mut txs: Vec<Sender<Frame<Wire>>> = Vec::with_capacity(pmax as usize);
-    let mut workers: Vec<Worker> = Vec::with_capacity(pmax as usize);
-    for (p, locals) in per_node.into_iter().enumerate() {
-        let (tx, rx) = unbounded();
-        txs.push(tx);
-        workers.push(Worker {
-            p: p as i64,
-            locals,
-            rx,
-        });
-    }
-
-    let mut results: Vec<NodeOutcome> = Vec::with_capacity(pmax as usize);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for worker in workers {
-            let node = &plan.nodes[worker.p as usize];
-            let rexpr = &rexpr_per_node[worker.p as usize];
-            let rguard = &rguard_per_node[worker.p as usize];
-            let exec = match (&compiled.kernel, compiled.nodes.get(worker.p as usize)) {
-                (Some(kernel), Some(cn)) => Some((cn, kernel)),
-                _ => None,
-            };
-            let txs = txs.clone();
-            let decomps = &decomps;
-            let dec_lhs = &dec_lhs;
-            let plan = &plan;
-            handles.push(scope.spawn(move || {
-                run_node(
-                    worker, node, plan, exec, rexpr, rguard, txs, decomps, dec_lhs, opts, tracer,
-                )
-            }));
-        }
-        // drop the main thread's senders so lost messages cannot keep
-        // channels alive artificially (receives use timeouts anyway)
-        drop(txs);
-        for (p, h) in handles.into_iter().enumerate() {
-            // the supervisor: a panic that escaped the in-thread guard
-            // still becomes a typed error, never a host abort
-            results.push(h.join().unwrap_or_else(|_| {
-                (
-                    p as i64,
-                    BTreeMap::new(),
-                    Vec::new(),
-                    NodeStats::default(),
-                    vec![0u64; pmax as usize],
-                    Err(MachineError::NodePanicked { node: p as i64 }),
-                )
-            }));
-        }
-    });
-
-    finalize_run(
-        &plan.lhs_array,
-        &referenced,
-        &decomps,
-        results,
-        arrays,
-        tracer,
-    )
-}
-
-/// One node thread: run the SPMD phases under a panic guard, then
-/// announce completion and service late retransmit requests. A node
-/// that panicked announces completion (the reset analog) but services
-/// nothing — its unsent data is gone, and peers surface that as
-/// [`MachineError::Unrecoverable`].
-#[allow(clippy::too_many_arguments)]
-fn run_node(
-    worker: Worker,
-    node: &NodePlan,
-    plan: &SpmdPlan,
-    exec: Option<(&CompiledNode, &CompiledKernel)>,
-    rexpr: &RExpr,
-    rguard: &RGuard,
-    txs: Vec<Sender<Frame<Wire>>>,
-    decomps: &BTreeMap<String, Decomp1>,
-    dec_lhs: &Decomp1,
-    opts: DistOptions,
-    tracer: &dyn Tracer,
-) -> NodeOutcome {
-    let p = worker.p;
-    let mut locals = worker.locals;
-    let mut stats = NodeStats::default();
-    let mut sent_to = vec![0u64; txs.len()];
-    let mut writes: Vec<WriteOp> = Vec::new();
-    let mut ep = Endpoint::in_proc(p, txs, worker.rx, opts.faults, tracer);
-    let trace_on = tracer.enabled();
-
-    let phases = catch_unwind(AssertUnwindSafe(|| {
-        node_phases(
-            p,
-            &mut locals,
-            node,
-            plan,
-            exec,
-            rexpr,
-            rguard,
-            &mut ep,
-            decomps,
-            dec_lhs,
-            &opts,
-            &mut stats,
-            &mut sent_to,
-            &mut writes,
-            tracer,
-        )
-    }));
-    let res = match phases {
-        Ok(r) => {
-            ep.announce_done();
-            if trace_on {
-                tracer.record(p, EventKind::PhaseStart(Phase::Drain));
-                let t0 = std::time::Instant::now();
-                ep.drain(opts.recv_timeout, &mut stats);
-                tracer.timing(p, Phase::Drain, t0.elapsed());
-                tracer.record(p, EventKind::PhaseEnd(Phase::Drain));
-            } else {
-                ep.drain(opts.recv_timeout, &mut stats);
-            }
-            r
-        }
-        Err(_) => {
-            ep.announce_done();
-            Err(MachineError::NodePanicked { node: p })
-        }
+    let decomps: BTreeMap<String, Decomp1> = arrays
+        .iter()
+        .map(|(name, da)| (name.clone(), da.decomp().clone()))
+        .collect();
+    let prepared = Arc::new(prepare_run(plan.clone(), clause, &decomps)?);
+    let reports = if opts.transport == TransportKind::InProc {
+        DistExecutor::new(plan.pmax).run(std::slice::from_ref(&prepared), arrays, opts, tracer)?
+    } else {
+        let pmax = plan.pmax.max(0) as usize;
+        ProcPool::new(opts.transport, pmax, opts.chaos, opts.timeouts)?
+            .run(&prepared, arrays, opts, tracer)?
     };
-    if res.is_err() {
-        writes.clear();
-    }
-    (p, locals, writes, stats, sent_to, res)
-}
-
-/// The send + update phases of one node (panics are caught by the
-/// caller's supervisor). Local writes are *collected*, not applied —
-/// the host commits them only when the whole run succeeded.
-#[allow(clippy::too_many_arguments)]
-fn node_phases(
-    p: i64,
-    locals: &mut BTreeMap<String, Vec<f64>>,
-    node: &NodePlan,
-    plan: &SpmdPlan,
-    exec: Option<(&CompiledNode, &CompiledKernel)>,
-    rexpr: &RExpr,
-    rguard: &RGuard,
-    ep: &mut Endpoint<Wire>,
-    decomps: &BTreeMap<String, Decomp1>,
-    dec_lhs: &Decomp1,
-    opts: &DistOptions,
-    stats: &mut NodeStats,
-    sent_to: &mut [u64],
-    writes: &mut Vec<WriteOp>,
-    tracer: &dyn Tracer,
-) -> Result<(), MachineError> {
-    stats.guard_tests += node.modify.schedule.work_estimate();
-    let trace_on = tracer.enabled();
-
-    // ---- send phase: Reside_p ∩ Modify_q, q ≠ p -------------------------
-    if trace_on {
-        tracer.record(p, EventKind::PhaseStart(Phase::Send));
-    }
-    let send_t0 = trace_on.then(std::time::Instant::now);
-    match (opts.mode, exec) {
-        (CommMode::Element, Some((cn, _))) => {
-            // compiled: the pair runs know the destination — the
-            // per-element `proc_of(f(i))` owner test is hoisted to the
-            // pair (owner is constant across a pair's runs by
-            // construction: `Send_{p→q} = Reside_p ∩ Modify_q`)
-            send_phase_element_compiled(p, locals, node, cn, decomps, ep, stats, sent_to, tracer);
-        }
-        (CommMode::Element, None) => {
-            // literal template: per-element ownership test + tagged send
-            // (the naive-guard fallback — no compiled tables exist)
-            for (slot, rp) in node.resides.iter().enumerate() {
-                if rp.replicated {
-                    continue;
-                }
-                stats.guard_tests += rp.opt.schedule.work_estimate();
-                let dec_r = &decomps[&rp.array];
-                let local_part = &locals[&rp.array];
-                rp.opt.schedule.for_each(|i| {
-                    let owner = dec_lhs.proc_of(plan.f.eval(i));
-                    if owner != p {
-                        let g = rp.g.eval(i);
-                        let value = local_part[dec_r.local_of(g) as usize];
-                        // non-blocking send through the reliable transport
-                        ep.send(owner as usize, Wire::Elem(Msg { slot, i, value }));
-                        if trace_on {
-                            tracer.record(
-                                p,
-                                EventKind::ElemSend {
-                                    dst: owner,
-                                    slot,
-                                    i,
-                                },
-                            );
-                        }
-                        sent_to[owner as usize] += 1;
-                        stats.msgs_sent += 1;
-                        stats.packets_sent += 1;
-                        stats.bytes_sent += ELEM_MSG_BYTES;
-                        stats.max_packet_elems = stats.max_packet_elems.max(1);
-                    }
-                });
-            }
-        }
-        (CommMode::Vectorized, _) => {
-            // the plan already knows every destination and run: pack each
-            // run into one vector message, no run-time ownership tests
-            for pair in &node.comm.sends {
-                for (run_ord, run) in pair.runs.iter().enumerate() {
-                    let rp = &node.resides[run.slot];
-                    let dec_r = &decomps[&rp.array];
-                    let local_part = &locals[&rp.array];
-                    let mut values = Vec::with_capacity(run.count as usize);
-                    run.for_each(|i| {
-                        values.push(local_part[dec_r.local_of(rp.g.eval(i)) as usize]);
-                    });
-                    let elems = values.len() as u64;
-                    ep.send(pair.peer as usize, Wire::Pack { run_ord, values });
-                    if trace_on {
-                        tracer.record(
-                            p,
-                            EventKind::PackSend {
-                                dst: pair.peer,
-                                run: run_ord,
-                                elems,
-                                bytes: PACK_HEADER_BYTES + 8 * elems,
-                            },
-                        );
-                    }
-                    sent_to[pair.peer as usize] += elems;
-                    stats.msgs_sent += elems;
-                    stats.packets_sent += 1;
-                    stats.bytes_sent += PACK_HEADER_BYTES + 8 * elems;
-                    stats.max_packet_elems = stats.max_packet_elems.max(elems);
-                }
-            }
-        }
-    }
-    ep.end_send_phase(); // flush delayed packets; crash point
-    if let Some(t0) = send_t0 {
-        tracer.timing(p, Phase::Send, t0.elapsed());
-        tracer.record(p, EventKind::PhaseEnd(Phase::Send));
-    }
-
-    // ---- update phase: Modify_p -----------------------------------------
-    if trace_on {
-        tracer.record(p, EventKind::PhaseStart(Phase::Update));
-    }
-    let update_t0 = trace_on.then(std::time::Instant::now);
-
-    // compiled path: fused/bytecode kernels over the interior/boundary
-    // exec runs — never touches the tree interpreter
-    if let Some((cn, kernel)) = exec {
-        let mut pending: BTreeMap<(usize, i64), f64> = BTreeMap::new();
-        let mut staging: Vec<Vec<Option<Vec<f64>>>> =
-            cn.staging_runs.iter().map(|&n| vec![None; n]).collect();
-        let mut rcv = RecvCtx::Single {
-            pending: &mut pending,
-            staging: &mut staging,
-        };
-        let mut vals = vec![0.0f64; node.resides.len()];
-        let mut stack: Vec<f64> = Vec::with_capacity(kernel.stack_capacity());
-        let res = exec_update_phase(
-            p, locals, node, cn, kernel, rguard, ep, &mut rcv, &mut vals, &mut stack, opts, stats,
-            writes, tracer,
-        );
-        if let Some(t0) = update_t0 {
-            tracer.timing(p, Phase::Update, t0.elapsed());
-            tracer.record(p, EventKind::PhaseEnd(Phase::Update));
-        }
-        return res;
-    }
-
-    let mut recv = RecvState::new(node, opts.mode, plan.pmax as usize);
-    writes.reserve(node.modify.schedule.count() as usize);
-    let mut vals = vec![0.0f64; node.resides.len()];
-    let mut err: Option<MachineError> = None;
-
-    let n_slots = node.resides.len();
-    node.modify.schedule.for_each(|i| {
-        if err.is_some() {
-            return;
-        }
-        stats.iterations += 1;
-        // gather all operand values for this iteration
-        #[allow(clippy::needless_range_loop)] // `vals[slot]` is written, not read
-        for slot in 0..n_slots {
-            let rp = &node.resides[slot];
-            let g = rp.g.eval(i);
-            let owner = if rp.replicated {
-                p
-            } else {
-                decomps[&rp.array].proc_of(g)
-            };
-            vals[slot] = if owner == p {
-                stats.local_reads += 1;
-                locals[&rp.array][decomps[&rp.array].local_of(g) as usize]
-            } else {
-                match recv.remote_value(ep, slot, i, owner, opts, stats) {
-                    Ok(v) => {
-                        if trace_on {
-                            tracer.record(
-                                p,
-                                EventKind::RecvValue {
-                                    src: owner,
-                                    slot,
-                                    i,
-                                },
-                            );
-                        }
-                        stats.msgs_received += 1;
-                        v
-                    }
-                    Err(RecvFail::Timeout) => {
-                        err = Some(MachineError::MissingMessage {
-                            node: p,
-                            array: rp.array.clone(),
-                            index: i,
-                        });
-                        return;
-                    }
-                    Err(RecvFail::PacketTimeout { peer, run }) => {
-                        err = Some(MachineError::MissingPacket {
-                            node: p,
-                            peer,
-                            slot,
-                            run,
-                        });
-                        return;
-                    }
-                    Err(RecvFail::Exhausted { peer, retries }) => {
-                        err = Some(MachineError::Unrecoverable {
-                            node: p,
-                            peer,
-                            retries,
-                        });
-                        return;
-                    }
-                    Err(RecvFail::BadWire(why)) => {
-                        err = Some(MachineError::PlanMismatch(format!(
-                            "node {p}, array `{}`, i={i}: {why}",
-                            rp.array
-                        )));
-                        return;
-                    }
-                }
-            };
-        }
-        stats.data_guards += 1;
-        let guard_ok = match rguard {
-            RGuard::Always => true,
-            RGuard::Cmp { slot, op, rhs } => op.holds(vals[*slot], *rhs),
-        };
-        if guard_ok {
-            let v = eval_rexpr(rexpr, i, &vals);
-            let target = plan.f.eval(i);
-            writes.push(WriteOp::El(dec_lhs.local_of(target) as usize, v));
-        }
-    });
-    if let Some(t0) = update_t0 {
-        tracer.timing(p, Phase::Update, t0.elapsed());
-        tracer.record(p, EventKind::PhaseEnd(Phase::Update));
-    }
-
-    err.map_or(Ok(()), Err)
+    reports
+        .into_iter()
+        .next()
+        .ok_or_else(|| MachineError::PlanMismatch("a 1-job wave produced no report".into()))
 }
 
 /// Element-mode send phase over the plan's pair runs: the wire multiset
 /// is identical to the literal template's reside scan (`Send_{p→q} =
 /// Reside_p ∩ Modify_q`), but the destination is the pair's peer — the
-/// per-element `proc_of(f(i))` owner recomputation is gone. Shared by
-/// the cold machine and the persistent executor.
+/// per-element `proc_of(f(i))` owner recomputation is gone.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn send_phase_element_compiled(
     p: i64,
@@ -1037,10 +492,8 @@ pub(crate) fn send_phase_element_compiled(
 /// order. Writes are staged per run and flattened back into visit order
 /// before returning, so the commit order — and therefore the result,
 /// even for non-injective `f` — is identical either way.
-///
-/// Shared verbatim by the cold machine and the persistent executor's
-/// warm path (the buffers come from the caller so the executor can
-/// reuse its scratch allocations).
+/// The buffers come from the caller so the worker can reuse its
+/// scratch allocations across runs.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_update_phase(
     p: i64,
@@ -1050,7 +503,7 @@ pub(crate) fn exec_update_phase(
     kernel: &CompiledKernel,
     rguard: &RGuard,
     ep: &mut Endpoint<Wire>,
-    rcv: &mut RecvCtx<'_>,
+    rcv: &mut WaveRecv,
     vals: &mut [f64],
     stack: &mut Vec<f64>,
     opts: &DistOptions,
@@ -1174,7 +627,7 @@ fn fused_local_pattern(er: &ExecRun, slot: usize, p: i64) -> Result<&AccessPatte
     }
 }
 
-fn map_recv_fail(f: RecvFail, p: i64, array: &str, i: i64, slot: usize) -> MachineError {
+pub(crate) fn map_recv_fail(f: RecvFail, p: i64, array: &str, i: i64, slot: usize) -> MachineError {
     match f {
         RecvFail::Timeout => MachineError::MissingMessage {
             node: p,
@@ -1211,7 +664,7 @@ fn exec_one_run(
     kernel: &CompiledKernel,
     rguard: &RGuard,
     ep: &mut Endpoint<Wire>,
-    rcv: &mut RecvCtx<'_>,
+    rcv: &mut WaveRecv,
     vals: &mut [f64],
     stack: &mut Vec<f64>,
     opts: &DistOptions,
@@ -1412,7 +865,6 @@ fn exec_one_run(
                                         CommMode::Vectorized => recv_packed(
                                             ep,
                                             rcv,
-                                            &cn.src_ord,
                                             &cn.src_peers,
                                             &cn.origin,
                                             slot,
@@ -1524,6 +976,7 @@ pub(crate) enum RecvFail {
 /// One wave job's private receive buffers. Lanes are strictly per job:
 /// two jobs may await the same `(slot, i)` key from the same owner, so
 /// a shared map would overwrite one job's value and starve the other.
+#[derive(Default)]
 pub(crate) struct JobLane {
     /// source processor id → ordinal in this job's recv pair list
     /// (`usize::MAX` when the source owes this job nothing).
@@ -1534,18 +987,20 @@ pub(crate) struct JobLane {
     pub staging: Vec<Vec<Option<Vec<f64>>>>,
 }
 
-/// Wave-mode receive router. A wave is ONE transport run: every job's
-/// frames share the per-source sequence space back-to-back, and frames
-/// may surface out of order (reorder faults), so arrival counting is
-/// unsound. Senders assign dense per-flow seqnos in job-ordinal send
-/// order, which makes plan-derived cumulative frame counts an exact
-/// demultiplexer: the frame with sequence number `s` from source `src`
-/// belongs to the unique job `j` with `cuts[src][j] <= s <
-/// cuts[src][j+1]`, regardless of delivery order.
+/// The receive router of one node for one wave. A wave is ONE transport
+/// run: every job's frames share the per-source sequence space
+/// back-to-back, and frames may surface out of order (reorder faults),
+/// so arrival counting is unsound. Senders assign dense per-flow seqnos
+/// in job-ordinal send order, which makes plan-derived cumulative frame
+/// counts an exact demultiplexer: the frame with sequence number `s`
+/// from source `src` belongs to the unique job `j` with `cuts[src][j] <=
+/// s < cuts[src][j+1]`, regardless of delivery order.
+#[derive(Default)]
 pub(crate) struct WaveRecv {
     /// ordinal of the job currently executing on this node.
     pub cur: usize,
-    /// per-job receive buffers.
+    /// per-job receive buffers; kept across waves, so entries past the
+    /// current wave's job count are idle spares.
     pub lanes: Vec<JobLane>,
     /// `cuts[src][j]` = total data frames `src` sends this node across
     /// jobs `0..j` (length `jobs + 1`, `cuts[src][0] == 0`).
@@ -1560,93 +1015,39 @@ impl WaveRecv {
             .get(usize::try_from(src).map_err(|_| "frame from unknown source")?)
             .ok_or("frame from unknown source")?;
         let j = col.partition_point(|&c| c <= seq);
-        if j == 0 || j > self.lanes.len() {
+        if j == 0 || j >= col.len() {
             return Err("data frame outside the wave's planned windows");
         }
         Ok(j - 1)
     }
-}
-
-/// Receive-side context threaded through the update phase: either the
-/// classic single-clause buffers or a wave router with per-job lanes.
-pub(crate) enum RecvCtx<'a> {
-    /// One clause, one transport run — the pre-wave layout.
-    Single {
-        /// element-mode arrivals keyed `(slot, i)`.
-        pending: &'a mut BTreeMap<(usize, i64), f64>,
-        /// vectorized-mode packet staging, `[source ordinal][run]`.
-        staging: &'a mut Vec<Vec<Option<Vec<f64>>>>,
-    },
-    /// Many jobs sharing one transport run.
-    Wave(&'a mut WaveRecv),
-}
-
-impl RecvCtx<'_> {
-    /// The pending map the currently executing job reads from.
-    fn cur_pending(&mut self) -> &mut BTreeMap<(usize, i64), f64> {
-        match self {
-            RecvCtx::Single { pending, .. } => pending,
-            RecvCtx::Wave(w) => &mut w.lanes[w.cur].pending,
-        }
-    }
-
-    /// The staging rows the currently executing job reads from.
-    fn cur_staging(&mut self) -> &mut Vec<Vec<Option<Vec<f64>>>> {
-        match self {
-            RecvCtx::Single { staging, .. } => staging,
-            RecvCtx::Wave(w) => &mut w.lanes[w.cur].staging,
-        }
-    }
 
     /// Stage one element-mode arrival into its owning job's lane.
     fn stage_elem(&mut self, src: i64, seq: u64, m: Msg) -> Result<(), &'static str> {
-        match self {
-            RecvCtx::Single { pending, .. } => {
-                pending.insert((m.slot, m.i), m.value);
-                Ok(())
-            }
-            RecvCtx::Wave(w) => {
-                let lane = w.lane_of(src, seq)?;
-                w.lanes[lane].pending.insert((m.slot, m.i), m.value);
-                Ok(())
-            }
-        }
+        let lane = self.lane_of(src, seq)?;
+        self.lanes[lane].pending.insert((m.slot, m.i), m.value);
+        Ok(())
     }
 
-    /// Stage one packet into its owning job's staging row. `src_ord` is
-    /// the *current* job's source table, used only in single mode; a
-    /// wave routes with the owning lane's own table (jobs generally
-    /// disagree about source ordinals).
+    /// Stage one packet into its owning job's staging row, routed with
+    /// that job's own source table (jobs generally disagree about source
+    /// ordinals).
     fn stage_pack(
         &mut self,
         src: i64,
         seq: u64,
         run_ord: usize,
         values: Vec<f64>,
-        src_ord: &[usize],
     ) -> Result<(), &'static str> {
-        let (ord, row_staging) = match self {
-            RecvCtx::Single { staging, .. } => {
-                let ord = src_ord
-                    .get(usize::try_from(src).map_err(|_| "packet from unplanned source")?)
-                    .copied()
-                    .filter(|&o| o != usize::MAX)
-                    .ok_or("packet from unplanned source")?;
-                (ord, staging.as_mut_slice())
-            }
-            RecvCtx::Wave(w) => {
-                let lane = w.lane_of(src, seq)?;
-                let l = &mut w.lanes[lane];
-                let ord = l
-                    .src_ord
-                    .get(usize::try_from(src).map_err(|_| "packet from unplanned source")?)
-                    .copied()
-                    .filter(|&o| o != usize::MAX)
-                    .ok_or("packet from unplanned source")?;
-                (ord, &mut l.staging[..])
-            }
-        };
-        let row = row_staging
+        let lane = self.lane_of(src, seq)?;
+        let l = &mut self.lanes[lane];
+        let ord = l
+            .src_ord
+            .get(usize::try_from(src).map_err(|_| "packet from unplanned source")?)
+            .copied()
+            .filter(|&o| o != usize::MAX)
+            .ok_or("packet from unplanned source")?;
+        let row = l
+            .staging
             .get_mut(ord)
             .ok_or("packet from unplanned source")?;
         let cell = row.get_mut(run_ord).ok_or("packet run tag out of range")?;
@@ -1659,108 +1060,12 @@ impl RecvCtx<'_> {
     }
 }
 
-/// Per-node receive-side state, by mode.
-enum RecvState {
-    /// Element mode: out-of-order arrivals buffered in an ordered map
-    /// keyed `(slot, i)`.
-    Element {
-        pending: BTreeMap<(usize, i64), f64>,
-    },
-    /// Vectorized mode: packets staged whole by `(source, run)`; each
-    /// remote element resolves to a plan-computed `(source, run,
-    /// offset)` address — no per-element tag matching.
-    Packed {
-        /// source processor id → ordinal in the recv pair list.
-        src_ord: Vec<usize>,
-        /// source ordinal → processor id (the NACK target).
-        peers: Vec<i64>,
-        /// `staging[source ordinal][run]` = the packet's values.
-        staging: Vec<Vec<Option<Vec<f64>>>>,
-        /// `(slot, i)` → `(source ordinal, run, offset)`, expanded from
-        /// the plan's receive runs before the update loop starts.
-        origin: BTreeMap<(usize, i64), (usize, usize, usize)>,
-    },
-}
-
-impl RecvState {
-    fn new(node: &NodePlan, mode: CommMode, pmax: usize) -> RecvState {
-        match mode {
-            CommMode::Element => RecvState::Element {
-                pending: BTreeMap::new(),
-            },
-            CommMode::Vectorized => {
-                let mut src_ord = vec![usize::MAX; pmax];
-                let mut peers = Vec::with_capacity(node.comm.recvs.len());
-                let mut origin = BTreeMap::new();
-                let mut staging = Vec::with_capacity(node.comm.recvs.len());
-                for (ord, pc) in node.comm.recvs.iter().enumerate() {
-                    src_ord[pc.peer as usize] = ord;
-                    peers.push(pc.peer);
-                    staging.push(vec![None; pc.runs.len()]);
-                    for (run_ord, run) in pc.runs.iter().enumerate() {
-                        let mut off = 0usize;
-                        run.for_each(|i| {
-                            origin.insert((run.slot, i), (ord, run_ord, off));
-                            off += 1;
-                        });
-                    }
-                }
-                RecvState::Packed {
-                    src_ord,
-                    peers,
-                    staging,
-                    origin,
-                }
-            }
-        }
-    }
-
-    /// Produce the remote operand for `(slot, i)` owed by `owner`,
-    /// receiving (and recovering) through the transport as needed.
-    #[allow(clippy::too_many_arguments)]
-    fn remote_value(
-        &mut self,
-        ep: &mut Endpoint<Wire>,
-        slot: usize,
-        i: i64,
-        owner: i64,
-        opts: &DistOptions,
-        stats: &mut NodeStats,
-    ) -> Result<f64, RecvFail> {
-        match self {
-            RecvState::Element { pending } => {
-                let mut staging = Vec::new();
-                let mut rcv = RecvCtx::Single {
-                    pending,
-                    staging: &mut staging,
-                };
-                recv_element(ep, &mut rcv, slot, i, owner, opts, stats)
-            }
-            RecvState::Packed {
-                src_ord,
-                peers,
-                staging,
-                origin,
-            } => {
-                let mut pending = BTreeMap::new();
-                let mut rcv = RecvCtx::Single {
-                    pending: &mut pending,
-                    staging,
-                };
-                recv_packed(ep, &mut rcv, src_ord, peers, origin, slot, i, opts, stats)
-            }
-        }
-    }
-}
-
-/// Element-mode blocking receive: stage tagged arrivals in `pending`
-/// until `(slot, i)` from `owner` is available. Shared by the per-run
-/// [`RecvState`] and the persistent executor (which keeps `pending`
-/// alive across runs, cleared, not reallocated).
+/// Element-mode blocking receive: stage tagged arrivals in their job's
+/// lane until `(slot, i)` from `owner` is available to the current job.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn recv_element(
     ep: &mut Endpoint<Wire>,
-    rcv: &mut RecvCtx<'_>,
+    rcv: &mut WaveRecv,
     slot: usize,
     i: i64,
     owner: i64,
@@ -1774,7 +1079,7 @@ pub(crate) fn recv_element(
         opts.retry,
         stats,
         rcv,
-        |rcv| rcv.cur_pending().remove(&(slot, i)).map(Ok),
+        |rcv| rcv.lanes[rcv.cur].pending.remove(&(slot, i)).map(Ok),
         |rcv, src, seq, wire| match wire {
             Wire::Elem(m) => rcv.stage_elem(src, seq, m),
             Wire::Pack { .. } => Err("vector packet in element mode"),
@@ -1791,15 +1096,12 @@ pub(crate) fn recv_element(
 }
 
 /// Vectorized-mode blocking receive: stage whole packets by
-/// `(source, run)` and resolve `(slot, i)` through the plan-computed
-/// `origin` addressing. Shared by the per-run [`RecvState`] (which
-/// expands `origin` on every execution) and the persistent executor
-/// (which reads it from the compiled schedule and reuses `staging`).
+/// `(source, run)` in their job's lane and resolve `(slot, i)` through
+/// the plan-computed `origin` addressing of the compiled schedule.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn recv_packed(
     ep: &mut Endpoint<Wire>,
-    rcv: &mut RecvCtx<'_>,
-    src_ord: &[usize],
+    rcv: &mut WaveRecv,
     peers: &[i64],
     origin: &BTreeMap<(usize, i64), (usize, usize, usize)>,
     slot: usize,
@@ -1822,7 +1124,8 @@ pub(crate) fn recv_packed(
         stats,
         rcv,
         |rcv| {
-            rcv.cur_staging()
+            rcv.lanes[rcv.cur]
+                .staging
                 .get(so)
                 .and_then(|row| row.get(ro))
                 .and_then(Option::as_ref)
@@ -1833,7 +1136,7 @@ pub(crate) fn recv_packed(
                 })
         },
         |rcv, src, seq, wire| match wire {
-            Wire::Pack { run_ord, values } => rcv.stage_pack(src, seq, run_ord, values, src_ord),
+            Wire::Pack { run_ord, values } => rcv.stage_pack(src, seq, run_ord, values),
             Wire::Elem(_) => Err("element message in vectorized mode"),
         },
     )
@@ -1849,7 +1152,7 @@ mod tests {
     use super::*;
     use std::time::Instant;
     use vcal_core::func::Fn1;
-    use vcal_core::{Array, ArrayRef, Bounds, Env, IndexSet};
+    use vcal_core::{Array, ArrayRef, Bounds, Env, IndexSet, Ordering};
     use vcal_spmd::DecompMap;
 
     fn copy_setup(

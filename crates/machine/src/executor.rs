@@ -1,12 +1,6 @@
-//! The steady-state executor: a persistent worker pool replaying
-//! compiled schedules (paper Section 4's amortization discipline).
-//!
-//! [`run_distributed`](crate::run_distributed) pays the full setup bill
-//! on every call: fresh OS threads per clause, channels and staging
-//! reallocated, the closed-form enumerators re-walked into temporaries.
-//! That is the right shape for a one-shot clause and exactly the wrong
-//! shape for a timestep loop, where the same plan executes thousands of
-//! times. This module splits the cost:
+//! The execution engine: a persistent worker pool replaying compiled
+//! schedules (paper Section 4's amortization discipline). Every
+//! distributed 1-D clause execution runs here.
 //!
 //! * [`prepare_run`] does everything that depends only on
 //!   `(plan, clause, decompositions)` — expression/guard resolution,
@@ -15,29 +9,36 @@
 //!   in a shareable [`PreparedPlan`].
 //! * [`DistExecutor`] owns `pmax` node threads spawned **once**; between
 //!   runs they park on their job channel. Transport endpoints (sequence
-//!   numbers, dedup windows), receive staging, and operand buffers are
+//!   numbers, dedup windows), receive lanes, and operand buffers are
 //!   *reset*, not reallocated, per run.
 //!
-//! The warm path threads the same [`Tracer`] and fault machinery as the
-//! cold path and must stay behaviorally identical to it: same results
-//! bit-for-bit, same statistics, same deterministic event stream (worker
-//! events are buffered thread-locally and replayed into the real tracer
-//! after the run — sound because [`CollectingTracer`] canonicalizes
-//! event order by `(class, node, per-node clock)`). A pooled worker that
-//! crashes is retired without poisoning the session: the caught panic
-//! becomes [`MachineError::NodePanicked`], uncommitted writes are
-//! discarded (the host's all-or-nothing commit restores pre-run state),
-//! and a genuinely dead thread causes the pool to rebuild itself on the
-//! next run.
+//! Every execution is a *wave*: prepared clauses in program order that
+//! share one transport run and commit all-or-nothing. A DAG schedule
+//! wave has many jobs; a session's solo clause is a 1-job wave; the cold
+//! [`run_distributed`](crate::run_distributed) is a 1-job wave on a
+//! throwaway pool. Each node's pre-wave parts go to its worker once,
+//! behind an `Arc` the host also holds: workers only read them (writes
+//! are staged as `WriteOp`s) and the host takes them back after the
+//! replies. The pooled threads and the socket backends' worker processes
+//! run the same worker body (`run_jobs`), and the host finishes every
+//! run with the same commit (`finalize_run`).
+//!
+//! Worker events are buffered thread-locally and replayed into the real
+//! tracer after the run — sound because [`CollectingTracer`]
+//! canonicalizes event order by `(class, node, per-node clock)`. A
+//! pooled worker that crashes is retired without poisoning the session:
+//! the caught panic becomes [`MachineError::NodePanicked`], uncommitted
+//! writes are discarded (the host's all-or-nothing commit restores
+//! pre-run state), and a genuinely dead thread causes the pool to
+//! rebuild itself on the next run.
 //!
 //! [`CollectingTracer`]: crate::obs::CollectingTracer
 
 use crate::darray::DistArray;
 use crate::distributed::{
-    disassemble, eval_rexpr, exec_update_phase, finalize_run, recv_element, recv_packed,
+    disassemble, eval_rexpr, exec_update_phase, map_recv_fail, recv_element, recv_packed,
     resolve_expr, resolve_guard, send_phase_element_compiled, CommMode, DistOptions, JobLane, Msg,
-    NodeOutcome, RExpr, RGuard, RecvCtx, RecvFail, WaveRecv, Wire, WriteOp, ELEM_MSG_BYTES,
-    PACK_HEADER_BYTES,
+    RExpr, RGuard, WaveRecv, Wire, WriteOp, ELEM_MSG_BYTES, PACK_HEADER_BYTES,
 };
 use crate::error::MachineError;
 use crate::obs::{trace_plan, EventKind, Phase, Tracer};
@@ -62,6 +63,7 @@ use vcal_spmd::{for_each_run, CompiledSchedule, SpmdPlan};
 /// (via `Arc`) by the session cache and every pooled worker.
 pub struct PreparedPlan {
     pub(crate) plan: SpmdPlan,
+    pub(crate) clause: Clause,
     pub(crate) compiled: CompiledSchedule,
     pub(crate) rexprs: Vec<RExpr>,
     pub(crate) rguards: Vec<RGuard>,
@@ -164,6 +166,7 @@ pub fn prepare_run(
     let compiled = CompiledSchedule::compile_exec(&plan, clause, &captured);
     Ok(PreparedPlan {
         plan,
+        clause: clause.clone(),
         compiled,
         rexprs,
         rguards,
@@ -173,9 +176,14 @@ pub fn prepare_run(
     })
 }
 
-/// Per-run context shared by every worker of one execution.
-struct RunCtx {
-    prepared: Arc<PreparedPlan>,
+/// Shared context of one wave: the jobs in program-ordinal order. A
+/// wave is ONE transport run — sequence numbers run continuously across
+/// jobs, which is what makes the plan-derived seq-window demultiplexing
+/// of [`WaveRecv`] exact (a per-job endpoint reset would replay seqnos
+/// from 0 and a fast peer's frames would be dropped as duplicates by a
+/// not-yet-reset slow peer).
+struct WaveCtx {
+    jobs: Vec<Arc<PreparedPlan>>,
     opts: DistOptions,
     trace_on: bool,
     /// Run the purge + Ready/Go barrier before sending. Needed only
@@ -187,85 +195,61 @@ struct RunCtx {
     handshake: bool,
 }
 
-/// One dispatched execution for one worker.
-struct Job {
-    ctx: Arc<RunCtx>,
-    locals: BTreeMap<String, Vec<f64>>,
-}
-
-/// Shared context of one wave: the jobs of a DAG schedule wave in
-/// program-ordinal order. A wave is ONE transport run — sequence
-/// numbers run continuously across jobs, which is what makes the
-/// plan-derived seq-window demultiplexing of [`WaveRecv`] exact (a
-/// per-job endpoint reset would replay seqnos from 0 and a fast peer's
-/// frames would be dropped as duplicates by a not-yet-reset slow peer).
-struct WaveCtx {
-    jobs: Vec<Arc<PreparedPlan>>,
-    opts: DistOptions,
-    trace_on: bool,
-    handshake: bool,
-}
-
-/// One dispatched wave for one worker: per-job local memories (each
-/// restricted to that job's referenced arrays) cloned from the host's
-/// master parts.
+/// One dispatched wave for one worker: the wave context plus the node's
+/// pre-wave parts of every array the wave references, shared read-only
+/// with the host.
 struct WaveJob {
     ctx: Arc<WaveCtx>,
-    locals: Vec<BTreeMap<String, Vec<f64>>>,
+    parts: Arc<BTreeMap<String, Vec<f64>>>,
 }
 
-/// Host-to-worker control stream. A run is a two-step handshake:
-/// `Job`/`Wave` (reset, purge stale frames, report
+/// Host-to-worker control stream. A run is a two-step handshake when
+/// the channels may hold stale frames: `Wave` (reset, purge, report
 /// [`WorkerMsg::Ready`]) then `Go` (start sending). The barrier exists
 /// because the stale-frame purge must finish on *every* worker before
 /// *any* worker may put new frames on the wire — a fast peer could
 /// otherwise have its fresh frames eaten by a slow peer's purge.
 enum Cmd {
-    Job(Job),
     Wave(WaveJob),
     Go,
 }
 
-/// What a worker ships back after a run.
-struct Reply {
-    outcome: NodeOutcome,
-    events: Vec<(i64, EventKind)>,
-    timings: Vec<(i64, Phase, Duration)>,
+/// One job's share of a node's reply. The position in
+/// [`WaveReply::jobs`] is the job's wave ordinal, so the host can stage
+/// commits in strict program order.
+pub(crate) struct JobReply {
+    pub(crate) writes: Vec<WriteOp>,
+    pub(crate) stats: NodeStats,
+    pub(crate) sent_to: Vec<u64>,
+    pub(crate) res: Result<(), MachineError>,
 }
 
-/// One job's share of a wave reply. Writes stay ordinal-keyed (the
-/// position in [`WaveReply::jobs`] is the job's wave ordinal) so the
-/// host can stage commits in strict program order.
-struct JobReply {
-    writes: Vec<WriteOp>,
-    stats: NodeStats,
-    sent_to: Vec<u64>,
-    res: Result<(), MachineError>,
-    events: Vec<(i64, EventKind)>,
-    timings: Vec<(i64, Phase, Duration)>,
+/// What a node ships back after a wave: one [`JobReply`] per job in
+/// wave order, plus the node's buffered trace — each job's send then
+/// update events in wave order, then the wave-level drain.
+pub(crate) struct WaveReply {
+    pub(crate) jobs: Vec<JobReply>,
+    pub(crate) trace: BufInner,
 }
 
-/// What a worker ships back after a wave: one [`JobReply`] per job in
-/// wave order, plus the wave-level drain trace (recorded once — the
-/// drain belongs to the transport run, not to any one job).
-struct WaveReply {
-    jobs: Vec<JobReply>,
-    drain_events: Vec<(i64, EventKind)>,
-    drain_timings: Vec<(i64, Phase, Duration)>,
-}
-
-/// Worker-to-host stream: `Ready` answers `Cmd::Job`/`Cmd::Wave`,
-/// `Done`/`WaveDone` answer `Cmd::Go`.
+/// Worker-to-host stream: `Ready` answers a handshaking `Cmd::Wave`,
+/// `Done` ends the wave.
 enum WorkerMsg {
     Ready,
-    Done(Box<Reply>),
-    WaveDone(Box<WaveReply>),
+    Done(Box<WaveReply>),
 }
 
 #[derive(Default)]
 pub(crate) struct BufInner {
     pub(crate) events: Vec<(i64, EventKind)>,
     pub(crate) timings: Vec<(i64, Phase, Duration)>,
+}
+
+impl BufInner {
+    fn append(&mut self, later: BufInner) {
+        self.events.extend(later.events);
+        self.timings.extend(later.timings);
+    }
 }
 
 /// A thread-local event buffer implementing [`Tracer`]. A pooled worker
@@ -332,7 +316,7 @@ pub struct DistExecutor {
     workers: Vec<WorkerHandle>,
     broken: bool,
     /// The previous run may have left stale frames behind (see
-    /// [`RunCtx::handshake`]); the next run must purge under a barrier.
+    /// [`WaveCtx::handshake`]); the next run must purge under a barrier.
     dirty: bool,
 }
 
@@ -368,19 +352,6 @@ fn build_pool(pmax: usize) -> Vec<WorkerHandle> {
         });
     }
     workers
-}
-
-/// The placeholder outcome of a worker that died without replying —
-/// identical to the cold path's escaped-panic fallback.
-fn dead_outcome(p: i64, pmax: usize) -> NodeOutcome {
-    (
-        p,
-        BTreeMap::new(),
-        Vec::new(),
-        NodeStats::default(),
-        vec![0u64; pmax],
-        Err(MachineError::NodePanicked { node: p }),
-    )
 }
 
 impl DistExecutor {
@@ -426,59 +397,63 @@ impl DistExecutor {
         self.dirty = false; // fresh channels start empty
     }
 
-    /// Execute `prepared` once on the pool. Semantics are identical to
-    /// [`run_distributed_traced`](crate::run_distributed_traced) on the
-    /// same plan: bit-identical results and statistics, same typed
-    /// errors, all-or-nothing commit, replay-valid traces. Only the
-    /// setup cost differs.
+    /// Execute one wave — a set of pairwise-independent prepared
+    /// clauses, in program-ordinal order — concurrently on the pool. A
+    /// solo clause is a 1-job wave.
+    ///
+    /// Every job reads the pre-wave arrays (independence guarantees each
+    /// job's inputs equal its strict-sequential inputs) and its writes
+    /// are staged ordinal-keyed; the host commits them job-by-job in
+    /// program order, so the post-wave arrays are bitwise identical to
+    /// running the jobs strictly sequentially. The whole wave is
+    /// all-or-nothing: any job failing on any node leaves the arrays in
+    /// their pre-wave state and reports the root-cause error.
+    ///
+    /// Returns one [`ExecReport`] per job, in wave order.
     pub fn run(
         &mut self,
-        prepared: &Arc<PreparedPlan>,
+        jobs: &[Arc<PreparedPlan>],
         arrays: &mut BTreeMap<String, DistArray>,
         opts: DistOptions,
         tracer: &dyn Tracer,
-    ) -> Result<ExecReport, MachineError> {
-        if prepared.plan.pmax.max(0) as usize != self.pmax {
-            return Err(MachineError::PlanMismatch(format!(
-                "prepared plan spans {} processors, pool has {}",
-                prepared.plan.pmax, self.pmax
-            )));
+    ) -> Result<Vec<ExecReport>, MachineError> {
+        let Some(first) = jobs.first() else {
+            return Ok(Vec::new());
+        };
+        for prepared in jobs {
+            if prepared.plan.pmax.max(0) as usize != self.pmax {
+                return Err(MachineError::PlanMismatch(format!(
+                    "prepared plan spans {} processors, pool has {}",
+                    prepared.plan.pmax, self.pmax
+                )));
+            }
         }
         if self.broken {
             self.rebuild();
         }
-        // the plan was captured against specific decompositions; a run
-        // against redistributed images would scatter garbage
-        for name in &prepared.referenced {
-            let da = arrays
-                .get(name)
-                .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
-            if da.decomp() != &prepared.decomps[name] {
-                return Err(MachineError::PlanMismatch(format!(
-                    "array `{name}` was redistributed since the plan was prepared"
-                )));
-            }
+        let referenced = wave_arrays(jobs, arrays)?;
+        for prepared in jobs {
+            trace_plan(tracer, &prepared.plan);
         }
-        trace_plan(tracer, &prepared.plan);
-        let per_node = disassemble(arrays, &prepared.referenced, prepared.plan.pmax)?;
-        let trace_on = tracer.enabled();
+        let parts: Vec<Arc<BTreeMap<String, Vec<f64>>>> =
+            disassemble(arrays, &referenced, first.plan.pmax)?
+                .into_iter()
+                .map(Arc::new)
+                .collect();
         let handshake = self.dirty;
-        let ctx = Arc::new(RunCtx {
-            prepared: Arc::clone(prepared),
+        let ctx = Arc::new(WaveCtx {
+            jobs: jobs.to_vec(),
             opts,
-            trace_on,
+            trace_on: tracer.enabled(),
             handshake,
         });
-        // Dispatch. When the channels may hold stale frames this is a
-        // two-step handshake (see [`Cmd`]): every worker must finish its
-        // purge before any worker starts sending.
         let mut running = vec![false; self.pmax];
-        for (p, locals) in per_node.into_iter().enumerate() {
-            let sent = self.workers[p]
+        for (p, w) in self.workers.iter().enumerate() {
+            let sent = w
                 .job_tx
-                .send(Cmd::Job(Job {
+                .send(Cmd::Wave(WaveJob {
                     ctx: Arc::clone(&ctx),
-                    locals,
+                    parts: Arc::clone(&parts[p]),
                 }))
                 .is_ok();
             running[p] = sent;
@@ -501,229 +476,100 @@ impl DistExecutor {
                 }
             }
         }
-        let mut results: Vec<NodeOutcome> = Vec::with_capacity(self.pmax);
-        let mut buffered = Vec::new();
+        let mut replies: Vec<Result<WaveReply, MachineError>> = Vec::with_capacity(self.pmax);
         for (p, w) in self.workers.iter().enumerate() {
+            let dead = Err(MachineError::NodePanicked { node: p as i64 });
             if !running[p] {
-                results.push(dead_outcome(p as i64, self.pmax));
+                replies.push(dead);
                 continue;
             }
             match w.reply_rx.recv() {
-                Ok(WorkerMsg::Done(reply)) => {
-                    results.push(reply.outcome);
-                    buffered.push((reply.events, reply.timings));
-                }
-                Ok(WorkerMsg::Ready | WorkerMsg::WaveDone(_)) | Err(_) => {
+                Ok(WorkerMsg::Done(reply)) => replies.push(Ok(*reply)),
+                Ok(WorkerMsg::Ready) | Err(_) => {
                     // the thread died without replying (or broke the
                     // handshake): retire it and rebuild lazily next run
                     self.broken = true;
-                    results.push(dead_outcome(p as i64, self.pmax));
+                    replies.push(dead);
                 }
             }
         }
         // a failed node exits without draining, and a fault plan can
         // retransmit after `Done` — either way the next run must purge
-        self.dirty = opts.faults.is_some() || results.iter().any(|r| r.5.is_err());
-        if trace_on {
-            // replies arrive in node order, and each buffer preserves
-            // its node's recording order — the collecting tracer's
-            // canonical (class, node, clock) sort sees the same stream
-            // a cold run records live
-            for (events, timings) in buffered {
-                for (n, k) in events {
-                    tracer.record(n, k);
-                }
-                for (n, ph, d) in timings {
-                    tracer.timing(n, ph, d);
-                }
-            }
-        }
-        finalize_run(
-            &prepared.plan.lhs_array,
-            &prepared.referenced,
-            &prepared.decomps,
-            results,
-            arrays,
-            tracer,
-        )
-    }
-
-    /// Execute one DAG-schedule wave — a set of pairwise-independent
-    /// jobs, in program-ordinal order — concurrently on the pool.
-    ///
-    /// Every job reads a snapshot of the pre-wave arrays (independence
-    /// guarantees each job's inputs equal its strict-sequential inputs)
-    /// and its writes are staged ordinal-keyed; the host commits them
-    /// job-by-job in program order, so the post-wave arrays are bitwise
-    /// identical to running the jobs strictly sequentially. The whole
-    /// wave is all-or-nothing: any job failing on any node rolls the
-    /// wave back to pre-wave state and reports the root-cause error.
-    ///
-    /// Returns one [`ExecReport`] per job, in wave order.
-    pub fn run_wave(
-        &mut self,
-        jobs: &[Arc<PreparedPlan>],
-        arrays: &mut BTreeMap<String, DistArray>,
-        opts: DistOptions,
-        tracer: &dyn Tracer,
-    ) -> Result<Vec<ExecReport>, MachineError> {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        for prepared in jobs {
-            if prepared.plan.pmax.max(0) as usize != self.pmax {
-                return Err(MachineError::PlanMismatch(format!(
-                    "prepared plan spans {} processors, pool has {}",
-                    prepared.plan.pmax, self.pmax
-                )));
-            }
-        }
-        if self.broken {
-            self.rebuild();
-        }
-        // union of referenced arrays + their captured decompositions;
-        // every plan must still match the live images
-        let mut referenced: Vec<String> = Vec::new();
-        let mut decomps: BTreeMap<String, Decomp1> = BTreeMap::new();
-        for prepared in jobs {
-            for name in &prepared.referenced {
-                let da = arrays
-                    .get(name)
-                    .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
-                if da.decomp() != &prepared.decomps[name] {
-                    return Err(MachineError::PlanMismatch(format!(
-                        "array `{name}` was redistributed since the plan was prepared"
-                    )));
-                }
-                if !referenced.contains(name) {
-                    referenced.push(name.clone());
-                    decomps.insert(name.clone(), prepared.decomps[name].clone());
-                }
-            }
-            trace_plan(tracer, &prepared.plan);
-        }
-        let pmax = jobs[0].plan.pmax;
-        let mut master = disassemble(arrays, &referenced, pmax)?;
-        let trace_on = tracer.enabled();
-        let handshake = self.dirty;
-        let ctx = Arc::new(WaveCtx {
-            jobs: jobs.to_vec(),
-            opts,
-            trace_on,
-            handshake,
-        });
-        let mut running = vec![false; self.pmax];
-        for (p, w) in self.workers.iter().enumerate() {
-            // per-job snapshots of this node's master parts, restricted
-            // to each job's referenced arrays
-            let locals: Vec<BTreeMap<String, Vec<f64>>> = jobs
-                .iter()
-                .map(|job| {
-                    job.referenced
-                        .iter()
-                        .map(|name| {
-                            (
-                                name.clone(),
-                                master[p].get(name).cloned().unwrap_or_default(),
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-            let sent = w
-                .job_tx
-                .send(Cmd::Wave(WaveJob {
-                    ctx: Arc::clone(&ctx),
-                    locals,
-                }))
-                .is_ok();
-            running[p] = sent;
-            if !sent {
-                self.broken = true;
-            }
-        }
-        if handshake {
-            for (p, w) in self.workers.iter().enumerate() {
-                if running[p] && !matches!(w.reply_rx.recv(), Ok(WorkerMsg::Ready)) {
-                    self.broken = true;
-                    running[p] = false;
-                }
-            }
-            for (p, w) in self.workers.iter().enumerate() {
-                if running[p] && w.job_tx.send(Cmd::Go).is_err() {
-                    self.broken = true;
-                    running[p] = false;
-                }
-            }
-        }
-        let mut replies: Vec<Option<Box<WaveReply>>> = Vec::with_capacity(self.pmax);
-        for (p, w) in self.workers.iter().enumerate() {
-            if !running[p] {
-                replies.push(None);
-                continue;
-            }
-            match w.reply_rx.recv() {
-                Ok(WorkerMsg::WaveDone(reply)) => replies.push(Some(reply)),
-                Ok(WorkerMsg::Ready | WorkerMsg::Done(_)) | Err(_) => {
-                    self.broken = true;
-                    replies.push(None);
-                }
-            }
-        }
         self.dirty = opts.faults.is_some()
             || replies.iter().any(|r| match r {
-                None => true,
-                Some(wr) => wr.jobs.iter().any(|j| j.res.is_err()),
+                Err(_) => true,
+                Ok(wr) => wr.jobs.iter().any(|j| j.res.is_err()),
             });
-        if trace_on {
-            // replies arrive in node order; within a node, job streams
-            // in wave order then the drain span — exactly the order a
-            // sequence of single runs would have recorded per node
-            for reply in replies.iter_mut().flatten() {
-                for jr in &mut reply.jobs {
-                    for (n, k) in jr.events.drain(..) {
-                        tracer.record(n, k);
-                    }
-                    for (n, ph, d) in jr.timings.drain(..) {
-                        tracer.timing(n, ph, d);
-                    }
-                }
-                for (n, k) in reply.drain_events.drain(..) {
-                    tracer.record(n, k);
-                }
-                for (n, ph, d) in reply.drain_timings.drain(..) {
-                    tracer.timing(n, ph, d);
-                }
-            }
-        }
-        finalize_wave(
-            jobs,
-            &referenced,
-            &decomps,
-            &mut master,
-            replies,
-            arrays,
-            tracer,
-        )
+        // every worker dropped its handle before replying; a clone is
+        // needed only when a dead worker's handle is still in flight
+        let master = parts
+            .into_iter()
+            .map(|a| Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()))
+            .collect();
+        finalize_run(jobs, &referenced, master, replies, arrays, tracer)
     }
 }
 
-/// Host-side tail of a wave (the wave analogue of
-/// [`finalize_run`]): pick the root-cause error across all jobs ×
-/// nodes, validate *every* job's writes before committing *any*
-/// (all-or-nothing for the whole wave), commit job-by-job in
-/// program-ordinal order into the master parts, and reassemble — on
-/// error from the untouched parts, restoring pre-wave state.
-fn finalize_wave(
+/// The union of the arrays a wave references, in first-reference order,
+/// with the decomposition each job's plan was prepared against. Every
+/// plan must still match the live images: a run against redistributed
+/// images would scatter garbage.
+pub(crate) fn wave_arrays<'a>(
+    jobs: &'a [Arc<PreparedPlan>],
+    arrays: &BTreeMap<String, DistArray>,
+) -> Result<Vec<(&'a str, &'a Decomp1)>, MachineError> {
+    let mut referenced: Vec<(&str, &Decomp1)> = Vec::new();
+    for prepared in jobs {
+        for name in &prepared.referenced {
+            let dec = &prepared.decomps[name];
+            let da = arrays
+                .get(name)
+                .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
+            if da.decomp() != dec {
+                return Err(MachineError::PlanMismatch(format!(
+                    "array `{name}` was redistributed since the plan was prepared"
+                )));
+            }
+            if !referenced.iter().any(|(n, _)| *n == name) {
+                referenced.push((name, dec));
+            }
+        }
+    }
+    Ok(referenced)
+}
+
+/// The host-side tail of every run: replay the workers' buffered
+/// traces, pick the root-cause error across all jobs × nodes, validate
+/// *every* job's writes before committing *any* (all-or-nothing for the
+/// whole wave), commit job-by-job in program-ordinal order into the
+/// pre-wave parts, and reassemble the distributed images — on error
+/// from the untouched parts, restoring pre-wave state. `replies[p]` is
+/// node `p`'s reply, or the error that stands in for a node that never
+/// replied.
+pub(crate) fn finalize_run(
     jobs: &[Arc<PreparedPlan>],
-    referenced: &[String],
-    decomps: &BTreeMap<String, Decomp1>,
-    master: &mut [BTreeMap<String, Vec<f64>>],
-    mut replies: Vec<Option<Box<WaveReply>>>,
+    referenced: &[(&str, &Decomp1)],
+    mut master: Vec<BTreeMap<String, Vec<f64>>>,
+    mut replies: Vec<Result<WaveReply, MachineError>>,
     arrays: &mut BTreeMap<String, DistArray>,
     tracer: &dyn Tracer,
 ) -> Result<Vec<ExecReport>, MachineError> {
+    if tracer.enabled() {
+        // replies arrive in node order, and each buffer preserves its
+        // node's recording order — the collecting tracer's canonical
+        // (class, node, clock) sort sees the stream a live run records
+        for wr in replies.iter_mut().flatten() {
+            for (n, k) in wr.trace.events.drain(..) {
+                tracer.record(n, k);
+            }
+            for (n, ph, d) in wr.trace.timings.drain(..) {
+                tracer.timing(n, ph, d);
+            }
+        }
+    }
     let commit_t0 = tracer.enabled().then(std::time::Instant::now);
+    // a panic or a dead worker is the root cause and wins over the
+    // secondary Unrecoverable/Missing* errors it induces on peers
     let root_cause = |e: &MachineError| {
         matches!(
             e,
@@ -731,28 +577,25 @@ fn finalize_wave(
         )
     };
     let mut first_err: Option<MachineError> = None;
-    {
-        let mut consider = |e: &MachineError| match &first_err {
-            None => first_err = Some(e.clone()),
-            Some(have) if !root_cause(have) && root_cause(e) => first_err = Some(e.clone()),
-            Some(_) => {}
-        };
-        for (p, r) in replies.iter().enumerate() {
-            match r {
-                None => consider(&MachineError::NodePanicked { node: p as i64 }),
-                Some(wr) => {
-                    if wr.jobs.len() != jobs.len() {
-                        consider(&MachineError::PlanMismatch(format!(
-                            "node {p} replied with {} job results for a {}-job wave",
-                            wr.jobs.len(),
-                            jobs.len()
-                        )));
-                        continue;
-                    }
-                    for jr in &wr.jobs {
-                        if let Err(e) = &jr.res {
-                            consider(e);
-                        }
+    let mut consider = |e: &MachineError| match &first_err {
+        None => first_err = Some(e.clone()),
+        Some(have) if !root_cause(have) && root_cause(e) => first_err = Some(e.clone()),
+        Some(_) => {}
+    };
+    for (p, r) in replies.iter().enumerate() {
+        match r {
+            Err(e) => consider(e),
+            Ok(wr) if wr.jobs.len() != jobs.len() => {
+                consider(&MachineError::PlanMismatch(format!(
+                    "node {p} replied with {} job results for a {}-job wave",
+                    wr.jobs.len(),
+                    jobs.len()
+                )));
+            }
+            Ok(wr) => {
+                for jr in &wr.jobs {
+                    if let Err(e) = &jr.res {
+                        consider(e);
                     }
                 }
             }
@@ -763,8 +606,8 @@ fn finalize_wave(
     if first_err.is_none() {
         'validate: for (j, job) in jobs.iter().enumerate() {
             let lhs = &job.plan.lhs_array;
-            for (p, r) in replies.iter().enumerate() {
-                let Some(wr) = r else { continue };
+            for (p, wr) in replies.iter().enumerate() {
+                let Ok(wr) = wr else { continue };
                 let len = master[p].get(lhs).map_or(0, Vec::len);
                 for w in &wr.jobs[j].writes {
                     let bad = match w {
@@ -784,18 +627,16 @@ fn finalize_wave(
             }
         }
     }
-    let commit = first_err.is_none();
 
     // commit staging is ordinal-keyed: job j's writes land before job
     // j+1's, so the final image equals strict sequential execution even
     // if two jobs wrote the same element (the DAG builder never
     // schedules such jobs in one wave; this is defense in depth)
-    if commit {
+    if first_err.is_none() {
         for (j, job) in jobs.iter().enumerate() {
             let lhs = &job.plan.lhs_array;
-            for (p, r) in replies.iter_mut().enumerate() {
-                let Some(wr) = r else { continue };
-                let Some(part) = master[p].get_mut(lhs) else {
+            for (p, wr) in replies.iter_mut().enumerate() {
+                let (Ok(wr), Some(part)) = (wr, master[p].get_mut(lhs)) else {
                     continue;
                 };
                 for w in std::mem::take(&mut wr.jobs[j].writes) {
@@ -811,33 +652,31 @@ fn finalize_wave(
     }
 
     // reassemble (on error: the parts were never touched → pre-wave)
-    for name in referenced {
+    for &(name, dec) in referenced {
         let parts: Vec<Vec<f64>> = master
             .iter_mut()
             .map(|m| m.remove(name).unwrap_or_default())
             .collect();
-        arrays.insert(
-            name.clone(),
-            DistArray::from_parts(decomps[name].clone(), parts),
-        );
+        arrays.insert(name.to_string(), DistArray::from_parts(dec.clone(), parts));
     }
 
-    let mut reports = Vec::with_capacity(jobs.len());
-    for j in 0..jobs.len() {
-        let mut report = ExecReport::default();
-        for r in &replies {
-            match r {
-                Some(wr) => {
-                    report.nodes.push(wr.jobs[j].stats);
-                    report.traffic.push(wr.jobs[j].sent_to.clone());
+    let pmax = replies.len();
+    let mut reports: Vec<ExecReport> = jobs.iter().map(|_| ExecReport::default()).collect();
+    for r in replies {
+        match r {
+            Ok(wr) => {
+                for (report, jr) in reports.iter_mut().zip(wr.jobs) {
+                    report.nodes.push(jr.stats);
+                    report.traffic.push(jr.sent_to);
                 }
-                None => {
+            }
+            Err(_) => {
+                for report in &mut reports {
                     report.nodes.push(NodeStats::default());
-                    report.traffic.push(vec![0u64; replies.len()]);
+                    report.traffic.push(vec![0u64; pmax]);
                 }
             }
         }
-        reports.push(report);
     }
     if let Some(t0) = commit_t0 {
         tracer.timing(crate::obs::HOST, Phase::Commit, t0.elapsed());
@@ -848,200 +687,132 @@ fn finalize_wave(
     }
 }
 
-/// The worker-side body of one wave: per-job lanes and seq windows
-/// derived from the jobs' plans, then two passes — every job's send
-/// phase first (pre-posting all boundary frames), then every job's
-/// update phase in wave order — and one `Done` + drain for the whole
-/// wave. Pre-posting means an update's receives almost never block on
-/// a peer still parked in an earlier job, which matters most on an
-/// oversubscribed host. After any job fails, the remaining jobs on
-/// this node are skipped (their results carry the first failure) and
-/// the wave aborts all-or-nothing.
-fn wave_worker_body(
+/// The one worker body every execution runs — pooled threads, and the
+/// socket backends' worker processes with a 1-job list: per-job lanes
+/// and seq windows derived from the jobs' plans, then two passes under
+/// the panic supervisor — every job's send phase first (pre-posting all
+/// boundary frames), then every job's update phase in wave order — and
+/// one `Done` + drain for the whole wave. Pre-posting means an update's
+/// receives almost never block on a peer still parked in an earlier
+/// job, which matters most on an oversubscribed host. After any job
+/// fails, the remaining jobs on this node are skipped (their results
+/// carry the first failure) and the wave aborts all-or-nothing. A node
+/// that panicked announces completion but services nothing — its unsent
+/// data is gone, and peers surface that as
+/// [`MachineError::Unrecoverable`].
+pub(crate) fn run_jobs(
     p: i64,
     ep: &mut Endpoint<Wire>,
     scratch: &mut Scratch,
     buf: &BufTracer,
-    ctx: &WaveCtx,
-    locals: Vec<BTreeMap<String, Vec<f64>>>,
+    jobs: &[Arc<PreparedPlan>],
+    parts: &BTreeMap<String, Vec<f64>>,
+    opts: &DistOptions,
 ) -> WaveReply {
-    let pu = p as usize;
     let pmax = ep.peer_count();
-    let lanes: Vec<JobLane> = ctx
-        .jobs
+    let trace_on = buf.enabled();
+    let Scratch {
+        recv,
+        vals,
+        stack,
+        send_trace,
+    } = scratch;
+    reset_recv(recv, jobs, p, opts.mode, pmax);
+    let mut out: Vec<JobReply> = jobs
         .iter()
-        .map(|job| {
-            let cn = &job.compiled.nodes[pu];
-            JobLane {
-                src_ord: cn.src_ord.clone(),
-                pending: BTreeMap::new(),
-                staging: cn.staging_runs.iter().map(|&n| vec![None; n]).collect(),
-            }
+        .map(|_| JobReply {
+            writes: Vec::new(),
+            stats: NodeStats::default(),
+            sent_to: vec![0u64; pmax],
+            res: Ok(()),
         })
         .collect();
-    // cumulative planned data frames per source: element mode sends one
-    // frame per element, vectorized one per planned run — mirrored
-    // exactly by the sender's send phase, which walks the same pair
-    // sets in the same order
-    let mut cuts: Vec<Vec<u64>> = vec![vec![0]; pmax];
-    for job in &ctx.jobs {
-        let node = &job.plan.nodes[pu];
-        let mut from = vec![0u64; pmax];
-        for pair in &node.comm.recvs {
-            let frames = match ctx.opts.mode {
-                CommMode::Element => pair.runs.iter().map(|r| r.count.max(0) as u64).sum::<u64>(),
-                CommMode::Vectorized => pair.runs.len() as u64,
-            };
-            if let Ok(src) = usize::try_from(pair.peer) {
-                if src < pmax {
-                    from[src] += frames;
-                }
-            }
-        }
-        for (src, col) in cuts.iter_mut().enumerate() {
-            let last = col.last().copied().unwrap_or(0);
-            col.push(last + from[src]);
-        }
-    }
-    let mut wr = WaveRecv {
-        cur: 0,
-        lanes,
-        cuts,
-    };
-    let njobs = ctx.jobs.len();
-    let mut jobs_out: Vec<JobReply> = Vec::with_capacity(njobs);
     let mut first_fail: Option<MachineError> = None;
     let mut panicked = false;
-    let mut locals = locals;
-    let mut stats_v = vec![NodeStats::default(); njobs];
-    let mut sent_v = vec![vec![0u64; pmax]; njobs];
-    let mut send_buf: Vec<BufInner> = Vec::with_capacity(njobs);
     // pass 1 — post *every* job's boundary sends before any update
     // phase blocks on a receive: on an oversubscribed host this turns
     // k send→recv thread handoffs into one wave-wide exchange. The
     // per-source seq-window cuts route early frames to the right job
     // lane, so arrival before the consuming job starts is fine.
-    for (j, (prepared, job_locals)) in ctx.jobs.iter().zip(locals.iter_mut()).enumerate() {
-        let res = if first_fail.is_some() {
-            Ok(())
-        } else {
-            let stats = &mut stats_v[j];
-            let sent_to = &mut sent_v[j];
-            let phases = catch_unwind(AssertUnwindSafe(|| {
-                warm_phases(
+    send_trace.clear();
+    for (prepared, jr) in jobs.iter().zip(&mut out) {
+        if first_fail.is_none() {
+            let sent = catch_unwind(AssertUnwindSafe(|| {
+                send_phase(
                     p,
-                    job_locals,
+                    parts,
                     prepared,
-                    &ctx.opts,
+                    opts.mode,
                     ep,
-                    scratch,
-                    None,
-                    stats,
-                    sent_to,
+                    &mut jr.stats,
+                    &mut jr.sent_to,
                     buf,
-                    PhaseSpan::SendOnly,
                 )
             }));
-            match phases {
-                Ok(r) => r,
-                Err(_) => {
-                    panicked = true;
-                    Err(MachineError::NodePanicked { node: p })
-                }
-            }
-        };
-        if let Err(e) = res {
-            if first_fail.is_none() {
-                first_fail = Some(e);
+            if sent.is_err() {
+                panicked = true;
+                first_fail = Some(MachineError::NodePanicked { node: p });
             }
         }
-        send_buf.push(buf.take());
+        if trace_on {
+            send_trace.push(buf.take());
+        }
     }
     // pass 2 — run each job's update phase in wave order, consuming
-    // through its lane. Buffered per-job events replay host-side as
+    // through its lane. Buffered per-job events are emitted as
     // send-then-update per job, so the canonical trace is identical to
     // the interleaved schedule's.
-    for (j, (prepared, job_locals)) in ctx.jobs.iter().zip(locals.iter_mut()).enumerate() {
-        wr.cur = j;
-        reset_scratch(scratch, prepared, p);
-        let mut stats = std::mem::take(&mut stats_v[j]);
-        let sent_to = std::mem::take(&mut sent_v[j]);
-        let res = match &first_fail {
+    let mut trace = BufInner::default();
+    for (j, (prepared, jr)) in jobs.iter().zip(&mut out).enumerate() {
+        recv.cur = j;
+        jr.res = match &first_fail {
             Some(e) => Err(e.clone()),
-            None => {
-                let phases = catch_unwind(AssertUnwindSafe(|| {
-                    warm_phases(
-                        p,
-                        job_locals,
-                        prepared,
-                        &ctx.opts,
-                        ep,
-                        scratch,
-                        Some(&mut wr),
-                        &mut stats,
-                        &mut [],
-                        buf,
-                        PhaseSpan::UpdateOnly,
-                    )
-                }));
-                match phases {
-                    Ok(r) => r,
-                    Err(_) => {
-                        panicked = true;
-                        Err(MachineError::NodePanicked { node: p })
-                    }
-                }
-            }
+            None => catch_unwind(AssertUnwindSafe(|| {
+                update_phase(
+                    p,
+                    parts,
+                    prepared,
+                    opts,
+                    ep,
+                    recv,
+                    vals,
+                    stack,
+                    &mut jr.stats,
+                    &mut jr.writes,
+                    buf,
+                )
+            }))
+            .unwrap_or_else(|_| {
+                panicked = true;
+                Err(MachineError::NodePanicked { node: p })
+            }),
         };
-        if res.is_err() {
-            scratch.writes.clear();
-            if first_fail.is_none() {
-                first_fail = res.as_ref().err().cloned();
-            }
+        if let Err(e) = &jr.res {
+            first_fail.get_or_insert_with(|| e.clone());
         }
-        let BufInner {
-            mut events,
-            mut timings,
-        } = std::mem::take(&mut send_buf[j]);
-        let BufInner {
-            events: up_events,
-            timings: up_timings,
-        } = buf.take();
-        events.extend(up_events);
-        timings.extend(up_timings);
-        jobs_out.push(JobReply {
-            writes: std::mem::take(&mut scratch.writes),
-            stats,
-            sent_to,
-            res,
-            events,
-            timings,
-        });
+        if trace_on {
+            trace.append(std::mem::take(&mut send_trace[j]));
+            trace.append(buf.take());
+        }
     }
     ep.announce_done();
     if !panicked {
-        // drain stats land on the wave's last job, mirroring how a solo
-        // run charges its own drain
+        // drain stats land on the wave's last job, as a solo run
+        // charges its own drain
         let mut fallback = NodeStats::default();
-        let dstats = jobs_out
-            .last_mut()
-            .map_or(&mut fallback, |last| &mut last.stats);
-        if ctx.trace_on {
+        let dstats = out.last_mut().map_or(&mut fallback, |last| &mut last.stats);
+        if trace_on {
             buf.record(p, EventKind::PhaseStart(Phase::Drain));
             let t0 = std::time::Instant::now();
-            ep.drain(ctx.opts.recv_timeout, dstats);
+            ep.drain(opts.recv_timeout, dstats);
             buf.timing(p, Phase::Drain, t0.elapsed());
             buf.record(p, EventKind::PhaseEnd(Phase::Drain));
+            trace.append(buf.take());
         } else {
-            ep.drain(ctx.opts.recv_timeout, dstats);
+            ep.drain(opts.recv_timeout, dstats);
         }
     }
-    let BufInner { events, timings } = buf.take();
-    WaveReply {
-        jobs: jobs_out,
-        drain_events: events,
-        drain_timings: timings,
-    }
+    WaveReply { jobs: out, trace }
 }
 
 impl Drop for DistExecutor {
@@ -1050,48 +821,77 @@ impl Drop for DistExecutor {
     }
 }
 
-/// Per-worker scratch reused (cleared, not reallocated) across runs.
+/// Per-worker scratch reused (reset, not reallocated) across runs.
 /// Shared with the process-backed pool (`crate::proc`), whose workers
 /// carry one across jobs exactly like a pooled thread does.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// Element mode: out-of-order arrivals keyed `(slot, i)`.
-    pending: BTreeMap<(usize, i64), f64>,
-    /// Vectorized mode: `staging[source ordinal][run]` packet values.
-    staging: Vec<Vec<Option<Vec<f64>>>>,
+    /// The wave's receive lanes and sequence cuts.
+    recv: WaveRecv,
     /// Operand values of the current iteration, one per read slot.
     vals: Vec<f64>,
-    /// Kernel evaluation stack (compiled path), reused across runs.
+    /// Kernel evaluation stack (compiled path).
     stack: Vec<f64>,
-    /// Collected local writes, committed by the host.
-    pub(crate) writes: Vec<WriteOp>,
+    /// Each job's buffered send-phase trace, held until its update
+    /// phase has run (traced runs only).
+    send_trace: Vec<BufInner>,
 }
 
-/// Size (and clear) a worker's scratch for one prepared plan — shared
-/// by the pooled-thread and pooled-process workers so both reuse
-/// buffers instead of reallocating per run.
-pub(crate) fn reset_scratch(scratch: &mut Scratch, prepared: &PreparedPlan, p: i64) {
-    let cn = &prepared.compiled.nodes[p as usize];
-    scratch.pending.clear();
-    scratch.staging.resize_with(cn.staging_runs.len(), Vec::new);
-    for (row, &nruns) in scratch.staging.iter_mut().zip(&cn.staging_runs) {
-        row.resize(nruns, None);
-        row.truncate(nruns);
-        for cell in row.iter_mut() {
-            *cell = None;
+/// Size (and clear) the receive lanes and per-source sequence cuts for
+/// one wave on node `p`, reusing the previous wave's buffers.
+fn reset_recv(
+    recv: &mut WaveRecv,
+    jobs: &[Arc<PreparedPlan>],
+    p: i64,
+    mode: CommMode,
+    pmax: usize,
+) {
+    let pu = p as usize;
+    recv.cur = 0;
+    if recv.lanes.len() < jobs.len() {
+        recv.lanes.resize_with(jobs.len(), JobLane::default);
+    }
+    recv.cuts.resize_with(pmax, Vec::new);
+    for col in &mut recv.cuts {
+        col.clear();
+        col.push(0);
+    }
+    for (lane, job) in recv.lanes.iter_mut().zip(jobs) {
+        let cn = &job.compiled.nodes[pu];
+        lane.src_ord.clear();
+        lane.src_ord.extend_from_slice(&cn.src_ord);
+        lane.pending.clear();
+        lane.staging.resize_with(cn.staging_runs.len(), Vec::new);
+        for (row, &nruns) in lane.staging.iter_mut().zip(&cn.staging_runs) {
+            row.clear();
+            row.resize(nruns, None);
+        }
+        // cumulative planned data frames per source: element mode sends
+        // one frame per element, vectorized one per planned run —
+        // mirrored exactly by the sender's send phase, which walks the
+        // same pair sets in the same order
+        for col in &mut recv.cuts {
+            let last = col.last().copied().unwrap_or(0);
+            col.push(last);
+        }
+        for pair in &job.plan.nodes[pu].comm.recvs {
+            let frames = match mode {
+                CommMode::Element => pair.runs.iter().map(|r| r.count.max(0) as u64).sum::<u64>(),
+                CommMode::Vectorized => pair.runs.len() as u64,
+            };
+            let col = usize::try_from(pair.peer)
+                .ok()
+                .and_then(|src| recv.cuts.get_mut(src));
+            if let Some(cut) = col.and_then(|c| c.last_mut()) {
+                *cut += frames;
+            }
         }
     }
-    scratch.vals.clear();
-    scratch
-        .vals
-        .resize(prepared.plan.nodes[p as usize].resides.len(), 0.0);
-    scratch.writes.clear();
 }
 
 /// The body of one pooled node thread: park on the job channel, and for
-/// each job reset the endpoint + scratch, run the warm phases under the
-/// panic supervisor, drain, and ship the outcome (plus buffered trace)
-/// back to the host.
+/// each wave reset the endpoint, run [`run_jobs`], and ship the reply
+/// (with its buffered trace) back to the host.
 fn worker_main(
     p: i64,
     txs: Vec<Sender<Frame<Wire>>>,
@@ -1103,33 +903,9 @@ fn worker_main(
     let mut ep: Endpoint<Wire> = Endpoint::in_proc(p, txs, data_rx, None, &buf);
     let mut scratch = Scratch::default();
     while let Ok(cmd) = job_rx.recv() {
-        let job = match cmd {
-            Cmd::Job(job) => job,
-            Cmd::Wave(wj) => {
-                let ctx = Arc::clone(&wj.ctx);
-                buf.set_enabled(ctx.trace_on);
-                ep.reset(ctx.opts.faults, ctx.trace_on);
-                if ctx.handshake {
-                    // same purge + Ready/Go barrier as a single job
-                    ep.purge_link();
-                    if reply_tx.send(WorkerMsg::Ready).is_err() {
-                        break;
-                    }
-                    match job_rx.recv() {
-                        Ok(Cmd::Go) => {}
-                        Ok(Cmd::Job(_) | Cmd::Wave(_)) | Err(_) => break,
-                    }
-                }
-                let reply = wave_worker_body(p, &mut ep, &mut scratch, &buf, &ctx, wj.locals);
-                if reply_tx.send(WorkerMsg::WaveDone(Box::new(reply))).is_err() {
-                    break;
-                }
-                continue;
-            }
-            Cmd::Go => continue, // stray Go (host retired us mid-handshake)
+        let Cmd::Wave(WaveJob { ctx, parts }) = cmd else {
+            continue; // stray Go (host retired us mid-handshake)
         };
-        let ctx = job.ctx;
-        let mut locals = job.locals;
         buf.set_enabled(ctx.trace_on);
         ep.reset(ctx.opts.faults, ctx.trace_on);
         if ctx.handshake {
@@ -1139,118 +915,143 @@ fn worker_main(
             // construction — and the Ready/Go barrier below keeps new
             // frames off the wire until every peer's purge is complete
             ep.purge_link();
-        }
-
-        let prepared = &ctx.prepared;
-        reset_scratch(&mut scratch, prepared, p);
-
-        let mut stats = NodeStats::default();
-        let mut sent_to = vec![0u64; ep.peer_count()];
-        let trace_on = ctx.trace_on;
-
-        if ctx.handshake {
-            // purge complete: report ready, then hold all sends until
-            // every peer has purged too
             if reply_tx.send(WorkerMsg::Ready).is_err() {
                 break; // host hung up
             }
             match job_rx.recv() {
                 Ok(Cmd::Go) => {}
-                Ok(Cmd::Job(_) | Cmd::Wave(_)) | Err(_) => break, // handshake broken
+                Ok(Cmd::Wave(_)) | Err(_) => break, // handshake broken
             }
         }
-
-        let phases = catch_unwind(AssertUnwindSafe(|| {
-            warm_phases(
-                p,
-                &mut locals,
-                prepared,
-                &ctx.opts,
-                &mut ep,
-                &mut scratch,
-                None,
-                &mut stats,
-                &mut sent_to,
-                &buf,
-                PhaseSpan::Full,
-            )
-        }));
-        let res = match phases {
-            Ok(r) => {
-                ep.announce_done();
-                if trace_on {
-                    buf.record(p, EventKind::PhaseStart(Phase::Drain));
-                    let t0 = std::time::Instant::now();
-                    ep.drain(ctx.opts.recv_timeout, &mut stats);
-                    buf.timing(p, Phase::Drain, t0.elapsed());
-                    buf.record(p, EventKind::PhaseEnd(Phase::Drain));
-                } else {
-                    ep.drain(ctx.opts.recv_timeout, &mut stats);
-                }
-                r
-            }
-            Err(_) => {
-                // mirror the cold supervisor: announce completion so
-                // peers stop waiting, service nothing, report typed
-                ep.announce_done();
-                Err(MachineError::NodePanicked { node: p })
-            }
-        };
-        if res.is_err() {
-            scratch.writes.clear();
-        }
-        let BufInner { events, timings } = buf.take();
-        let outcome = (
-            p,
-            locals,
-            std::mem::take(&mut scratch.writes),
-            stats,
-            sent_to,
-            res,
-        );
-        if reply_tx
-            .send(WorkerMsg::Done(Box::new(Reply {
-                outcome,
-                events,
-                timings,
-            })))
-            .is_err()
-        {
+        let reply = run_jobs(p, &mut ep, &mut scratch, &buf, &ctx.jobs, &parts, &ctx.opts);
+        // release the parts before replying, so the host can take them
+        // back without a copy
+        drop(parts);
+        if reply_tx.send(WorkerMsg::Done(Box::new(reply))).is_err() {
             break; // host hung up
         }
     }
 }
 
-/// Which half of a warm run to execute. A solo run is always
-/// [`PhaseSpan::Full`]; the wave worker splits the run so it can post
-/// *every* job's boundary sends before any job's update phase blocks
-/// on a receive — on an oversubscribed host that collapses the
-/// per-job send/recv thread ping-pong into one wave-wide exchange.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PhaseSpan {
-    Full,
-    SendOnly,
-    UpdateOnly,
-}
-
-/// The send + update phases of one warm run. This mirrors the cold
-/// path's `node_phases` statement for statement — same events, same
-/// statistics, same error mapping — but drives every loop from the
-/// compiled run tables instead of re-deriving the closed forms, and
-/// receives through the persistent scratch instead of per-run state.
+/// The send phase of one node for one prepared clause:
+/// `Reside_p ∩ Modify_q`, `q ≠ p`, driven from the compiled run tables.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn warm_phases(
+pub(crate) fn send_phase(
     p: i64,
-    locals: &mut BTreeMap<String, Vec<f64>>,
+    parts: &BTreeMap<String, Vec<f64>>,
     prepared: &PreparedPlan,
-    opts: &DistOptions,
+    mode: CommMode,
     ep: &mut Endpoint<Wire>,
-    scratch: &mut Scratch,
-    wave: Option<&mut WaveRecv>,
     stats: &mut NodeStats,
     sent_to: &mut [u64],
     tracer: &dyn Tracer,
-    span: PhaseSpan,
+) {
+    let plan = &prepared.plan;
+    let node = &plan.nodes[p as usize];
+    let cn = &prepared.compiled.nodes[p as usize];
+    let decomps = &prepared.decomps;
+    let dec_lhs = &prepared.dec_lhs;
+    let trace_on = tracer.enabled();
+    if trace_on {
+        tracer.record(p, EventKind::PhaseStart(Phase::Send));
+    }
+    let send_t0 = trace_on.then(std::time::Instant::now);
+    match mode {
+        // the kernel exists iff every schedule is closed-form and the
+        // expression compiled; naive-guard plans keep the literal
+        // template's per-element ownership test
+        CommMode::Element if prepared.compiled.kernel.is_some() => {
+            send_phase_element_compiled(p, parts, node, cn, decomps, ep, stats, sent_to, tracer);
+        }
+        CommMode::Element => {
+            for (slot, rp) in node.resides.iter().enumerate() {
+                let Some(runs) = &cn.resides[slot] else {
+                    continue; // replicated: never sent
+                };
+                stats.guard_tests += cn.reside_work[slot];
+                let dec_r = &decomps[&rp.array];
+                let local_part = &parts[&rp.array];
+                for_each_run(runs, |i| {
+                    let owner = dec_lhs.proc_of(plan.f.eval(i));
+                    if owner != p {
+                        let g = rp.g.eval(i);
+                        let value = local_part[dec_r.local_of(g) as usize];
+                        ep.send(owner as usize, Wire::Elem(Msg { slot, i, value }));
+                        if trace_on {
+                            tracer.record(
+                                p,
+                                EventKind::ElemSend {
+                                    dst: owner,
+                                    slot,
+                                    i,
+                                },
+                            );
+                        }
+                        sent_to[owner as usize] += 1;
+                        stats.msgs_sent += 1;
+                        stats.packets_sent += 1;
+                        stats.bytes_sent += ELEM_MSG_BYTES;
+                        stats.max_packet_elems = stats.max_packet_elems.max(1);
+                    }
+                });
+            }
+        }
+        CommMode::Vectorized => {
+            for pair in &node.comm.sends {
+                for (run_ord, run) in pair.runs.iter().enumerate() {
+                    let rp = &node.resides[run.slot];
+                    let dec_r = &decomps[&rp.array];
+                    let local_part = &parts[&rp.array];
+                    let mut values = Vec::with_capacity(run.count as usize);
+                    run.for_each(|i| {
+                        values.push(local_part[dec_r.local_of(rp.g.eval(i)) as usize]);
+                    });
+                    let elems = values.len() as u64;
+                    ep.send(pair.peer as usize, Wire::Pack { run_ord, values });
+                    if trace_on {
+                        tracer.record(
+                            p,
+                            EventKind::PackSend {
+                                dst: pair.peer,
+                                run: run_ord,
+                                elems,
+                                bytes: PACK_HEADER_BYTES + 8 * elems,
+                            },
+                        );
+                    }
+                    sent_to[pair.peer as usize] += elems;
+                    stats.msgs_sent += elems;
+                    stats.packets_sent += 1;
+                    stats.bytes_sent += PACK_HEADER_BYTES + 8 * elems;
+                    stats.max_packet_elems = stats.max_packet_elems.max(elems);
+                }
+            }
+        }
+    }
+    ep.end_send_phase(); // flush delayed packets; crash point
+    if let Some(t0) = send_t0 {
+        tracer.timing(p, Phase::Send, t0.elapsed());
+        tracer.record(p, EventKind::PhaseEnd(Phase::Send));
+    }
+}
+
+/// The update phase of one node for one prepared clause: `Modify_p`,
+/// with remote operands received through the current job's lane of
+/// `rcv`. Local writes are *collected* into `writes`, not applied — the
+/// host commits them only when the whole wave succeeded.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn update_phase(
+    p: i64,
+    parts: &BTreeMap<String, Vec<f64>>,
+    prepared: &PreparedPlan,
+    opts: &DistOptions,
+    ep: &mut Endpoint<Wire>,
+    rcv: &mut WaveRecv,
+    vals: &mut Vec<f64>,
+    stack: &mut Vec<f64>,
+    stats: &mut NodeStats,
+    writes: &mut Vec<WriteOp>,
+    tracer: &dyn Tracer,
 ) -> Result<(), MachineError> {
     let plan = &prepared.plan;
     let node = &plan.nodes[p as usize];
@@ -1259,116 +1060,10 @@ pub(crate) fn warm_phases(
     let rguard = &prepared.rguards[p as usize];
     let decomps = &prepared.decomps;
     let dec_lhs = &prepared.dec_lhs;
-    let Scratch {
-        pending,
-        staging,
-        vals,
-        stack,
-        writes,
-    } = scratch;
-    // wave jobs receive through their per-job lane in the shared
-    // router; a solo run uses the scratch buffers directly
-    let mut rcv = match wave {
-        Some(w) => RecvCtx::Wave(w),
-        None => RecvCtx::Single { pending, staging },
-    };
-    // same gating as the cold machine: the kernel exists iff every
-    // schedule is closed-form and the expression compiled, so cold and
-    // warm runs take the same path (and record the same trace) per plan
-    let exec = prepared.compiled.kernel.as_ref().map(|k| (cn, k));
-
-    if span != PhaseSpan::SendOnly {
-        // the modify guard work is charged to the update half, once
-        stats.guard_tests += cn.modify_work;
-    }
+    stats.guard_tests += cn.modify_work;
     let trace_on = tracer.enabled();
-
-    // ---- send phase: Reside_p ∩ Modify_q, q ≠ p -------------------------
-    if span != PhaseSpan::UpdateOnly {
-        if trace_on {
-            tracer.record(p, EventKind::PhaseStart(Phase::Send));
-        }
-        let send_t0 = trace_on.then(std::time::Instant::now);
-        match (opts.mode, exec) {
-            (CommMode::Element, Some((cn, _))) => {
-                send_phase_element_compiled(
-                    p, locals, node, cn, decomps, ep, stats, sent_to, tracer,
-                );
-            }
-            (CommMode::Element, None) => {
-                for (slot, rp) in node.resides.iter().enumerate() {
-                    let Some(runs) = &cn.resides[slot] else {
-                        continue; // replicated: never sent
-                    };
-                    stats.guard_tests += cn.reside_work[slot];
-                    let dec_r = &decomps[&rp.array];
-                    let local_part = &locals[&rp.array];
-                    for_each_run(runs, |i| {
-                        let owner = dec_lhs.proc_of(plan.f.eval(i));
-                        if owner != p {
-                            let g = rp.g.eval(i);
-                            let value = local_part[dec_r.local_of(g) as usize];
-                            ep.send(owner as usize, Wire::Elem(Msg { slot, i, value }));
-                            if trace_on {
-                                tracer.record(
-                                    p,
-                                    EventKind::ElemSend {
-                                        dst: owner,
-                                        slot,
-                                        i,
-                                    },
-                                );
-                            }
-                            sent_to[owner as usize] += 1;
-                            stats.msgs_sent += 1;
-                            stats.packets_sent += 1;
-                            stats.bytes_sent += ELEM_MSG_BYTES;
-                            stats.max_packet_elems = stats.max_packet_elems.max(1);
-                        }
-                    });
-                }
-            }
-            (CommMode::Vectorized, _) => {
-                for pair in &node.comm.sends {
-                    for (run_ord, run) in pair.runs.iter().enumerate() {
-                        let rp = &node.resides[run.slot];
-                        let dec_r = &decomps[&rp.array];
-                        let local_part = &locals[&rp.array];
-                        let mut values = Vec::with_capacity(run.count as usize);
-                        run.for_each(|i| {
-                            values.push(local_part[dec_r.local_of(rp.g.eval(i)) as usize]);
-                        });
-                        let elems = values.len() as u64;
-                        ep.send(pair.peer as usize, Wire::Pack { run_ord, values });
-                        if trace_on {
-                            tracer.record(
-                                p,
-                                EventKind::PackSend {
-                                    dst: pair.peer,
-                                    run: run_ord,
-                                    elems,
-                                    bytes: PACK_HEADER_BYTES + 8 * elems,
-                                },
-                            );
-                        }
-                        sent_to[pair.peer as usize] += elems;
-                        stats.msgs_sent += elems;
-                        stats.packets_sent += 1;
-                        stats.bytes_sent += PACK_HEADER_BYTES + 8 * elems;
-                        stats.max_packet_elems = stats.max_packet_elems.max(elems);
-                    }
-                }
-            }
-        }
-        ep.end_send_phase(); // flush delayed packets; crash point
-        if let Some(t0) = send_t0 {
-            tracer.timing(p, Phase::Send, t0.elapsed());
-            tracer.record(p, EventKind::PhaseEnd(Phase::Send));
-        }
-    }
-    if span == PhaseSpan::SendOnly {
-        return Ok(());
-    }
+    vals.clear();
+    vals.resize(node.resides.len(), 0.0);
 
     // ---- update phase: Modify_p -----------------------------------------
     if trace_on {
@@ -1378,12 +1073,11 @@ pub(crate) fn warm_phases(
 
     // compiled path: fused/bytecode kernels over the interior/boundary
     // exec runs — never touches the tree interpreter
-    if let Some((cn, kernel)) = exec {
+    if let Some(kernel) = &prepared.compiled.kernel {
         stack.clear();
         stack.reserve(kernel.stack_capacity());
         let res = exec_update_phase(
-            p, locals, node, cn, kernel, rguard, ep, &mut rcv, vals, stack, opts, stats, writes,
-            tracer,
+            p, parts, node, cn, kernel, rguard, ep, rcv, vals, stack, opts, stats, writes, tracer,
         );
         if let Some(t0) = update_t0 {
             tracer.timing(p, Phase::Update, t0.elapsed());
@@ -1412,21 +1106,13 @@ pub(crate) fn warm_phases(
             };
             vals[slot] = if owner == p {
                 stats.local_reads += 1;
-                locals[&rp.array][decomps[&rp.array].local_of(g) as usize]
+                parts[&rp.array][decomps[&rp.array].local_of(g) as usize]
             } else {
                 let got = match opts.mode {
-                    CommMode::Element => recv_element(ep, &mut rcv, slot, i, owner, opts, stats),
-                    CommMode::Vectorized => recv_packed(
-                        ep,
-                        &mut rcv,
-                        &cn.src_ord,
-                        &cn.src_peers,
-                        &cn.origin,
-                        slot,
-                        i,
-                        opts,
-                        stats,
-                    ),
+                    CommMode::Element => recv_element(ep, rcv, slot, i, owner, opts, stats),
+                    CommMode::Vectorized => {
+                        recv_packed(ep, rcv, &cn.src_peers, &cn.origin, slot, i, opts, stats)
+                    }
                 };
                 match got {
                     Ok(v) => {
@@ -1443,36 +1129,8 @@ pub(crate) fn warm_phases(
                         stats.msgs_received += 1;
                         v
                     }
-                    Err(RecvFail::Timeout) => {
-                        err = Some(MachineError::MissingMessage {
-                            node: p,
-                            array: rp.array.clone(),
-                            index: i,
-                        });
-                        return;
-                    }
-                    Err(RecvFail::PacketTimeout { peer, run }) => {
-                        err = Some(MachineError::MissingPacket {
-                            node: p,
-                            peer,
-                            slot,
-                            run,
-                        });
-                        return;
-                    }
-                    Err(RecvFail::Exhausted { peer, retries }) => {
-                        err = Some(MachineError::Unrecoverable {
-                            node: p,
-                            peer,
-                            retries,
-                        });
-                        return;
-                    }
-                    Err(RecvFail::BadWire(why)) => {
-                        err = Some(MachineError::PlanMismatch(format!(
-                            "node {p}, array `{}`, i={i}: {why}",
-                            rp.array
-                        )));
+                    Err(f) => {
+                        err = Some(map_recv_fail(f, p, &rp.array, i, slot));
                         return;
                     }
                 }

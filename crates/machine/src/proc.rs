@@ -23,38 +23,32 @@
 //!   exited process is a dead node;
 //! * a dead node is reported as a typed [`MachineError::Transport`],
 //!   its peers are released by synthesizing its `Done` frame
-//!   ([`Router::broadcast_done`]), and its pre-run local memories (kept
-//!   host-side) restore the arrays through the usual all-or-nothing
+//!   ([`Router::broadcast_done`]), and the pre-run local memories the
+//!   host kept restore the arrays through the usual all-or-nothing
 //!   commit — arrays are untouched by a failed run;
 //! * the pool itself survives: dead workers are respawned lazily at the
 //!   next run, so the same session completes once the fault is gone.
 
 use crate::codec::{Ctrl, JobMsg, ResultMsg};
 use crate::darray::DistArray;
-use crate::distributed::{disassemble, finalize_run, DistOptions, NodeOutcome, Wire};
+use crate::distributed::{disassemble, DistOptions, Wire};
 use crate::error::MachineError;
 use crate::executor::{
-    prepare_run, reset_scratch, warm_phases, BufInner, BufTracer, PhaseSpan, PreparedPlan, Scratch,
+    finalize_run, prepare_run, run_jobs, wave_arrays, BufInner, BufTracer, JobReply, PreparedPlan,
+    Scratch, WaveReply,
 };
 use crate::net::{ChaosProxy, Router, RouterEvent, SockLink};
-use crate::obs::{trace_plan, EventKind, Phase, Tracer};
+use crate::obs::{trace_plan, Tracer};
 use crate::stats::{ExecReport, NodeStats};
 use crate::transport::{Endpoint, ProtoTimeouts, TransportKind};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vcal_core::Clause;
 use vcal_spmd::{clause_signature, decomp_fingerprint, SpmdPlan};
 
-/// One node's outcome plus the trace events and per-phase timings its
-/// worker buffered during the run.
-type Collected = (
-    NodeOutcome,
-    Vec<(i64, EventKind)>,
-    Vec<(i64, Phase, Duration)>,
-);
+/// Node `p`'s reply, or the error that stands in for it.
+type Collected = Result<WaveReply, MachineError>;
 
 /// Resolve the worker executable: `VCAL_WORKER_BIN`, else this very
 /// binary (which must implement the `worker` subcommand — `vcalc`
@@ -255,19 +249,18 @@ impl ProcPool {
         self.router.disconnect(p as i64);
     }
 
-    /// Execute `prepared` once on the worker processes. Same contract
-    /// as [`crate::DistExecutor::run`]: bit-identical results and
-    /// statistics to the in-process machine, typed errors, and the
-    /// all-or-nothing commit that leaves arrays untouched on failure —
-    /// including when a worker process dies mid-run.
+    /// Execute `prepared` once on the worker processes as a 1-job wave.
+    /// Same contract as [`crate::DistExecutor::run`]: bit-identical
+    /// results and statistics to the in-process machine, typed errors,
+    /// and the all-or-nothing commit that leaves arrays untouched on
+    /// failure — including when a worker process dies mid-run.
     pub fn run(
         &mut self,
         prepared: &Arc<PreparedPlan>,
-        clause: &Clause,
         arrays: &mut BTreeMap<String, DistArray>,
         opts: DistOptions,
         tracer: &dyn Tracer,
-    ) -> Result<ExecReport, MachineError> {
+    ) -> Result<Vec<ExecReport>, MachineError> {
         let pmax = self.pmax;
         if prepared.plan.pmax.max(0) as usize != pmax {
             return Err(MachineError::PlanMismatch(format!(
@@ -275,16 +268,7 @@ impl ProcPool {
                 prepared.plan.pmax
             )));
         }
-        for name in &prepared.referenced {
-            let da = arrays
-                .get(name)
-                .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
-            if da.decomp() != &prepared.decomps[name] {
-                return Err(MachineError::PlanMismatch(format!(
-                    "array `{name}` was redistributed since the plan was prepared"
-                )));
-            }
-        }
+        let referenced = wave_arrays(std::slice::from_ref(prepared), arrays)?;
 
         // lazy respawn: replace workers that died since the last run
         let mut respawned = Vec::new();
@@ -301,14 +285,12 @@ impl ProcPool {
         }
 
         trace_plan(tracer, &prepared.plan);
-        let per_node = disassemble(arrays, &prepared.referenced, prepared.plan.pmax)?;
+        // the pre-run memories stay host-side: the commit applies the
+        // workers' writes to them, and a failed run reassembles them
+        // untouched
+        let master = disassemble(arrays, &referenced, prepared.plan.pmax)?;
         let trace_on = tracer.enabled();
         let handshake = self.dirty;
-
-        // keep each node's pre-run memories host-side: a worker that
-        // dies without replying restores state from this copy
-        let mut pre_run: Vec<Option<BTreeMap<String, Vec<f64>>>> =
-            per_node.iter().map(|m| Some(m.clone())).collect();
 
         // `running[p]`: the worker still owes us a protocol step
         let mut running = vec![true; pmax];
@@ -316,27 +298,15 @@ impl ProcPool {
         let fail = |pool: &mut ProcPool,
                     running: &mut Vec<bool>,
                     outcomes: &mut Vec<Option<Collected>>,
-                    pre_run: &mut Vec<Option<BTreeMap<String, Vec<f64>>>>,
                     p: usize,
                     detail: String| {
             pool.kill_worker(p);
             pool.router.broadcast_done(p as i64); // release waiting peers
             running[p] = false;
-            outcomes[p] = Some((
-                (
-                    p as i64,
-                    pre_run[p].take().unwrap_or_default(),
-                    Vec::new(),
-                    NodeStats::default(),
-                    vec![0u64; pmax],
-                    Err(MachineError::Transport {
-                        node: p as i64,
-                        detail,
-                    }),
-                ),
-                Vec::new(),
-                Vec::new(),
-            ));
+            outcomes[p] = Some(Err(MachineError::Transport {
+                node: p as i64,
+                detail,
+            }));
         };
 
         // --- dispatch --------------------------------------------------
@@ -348,11 +318,11 @@ impl ProcPool {
         // and the re-send timer retries.
         self.run_seq += 1;
         let run_id = self.run_seq;
-        let jobs: Vec<JobMsg> = per_node
-            .into_iter()
+        let jobs: Vec<JobMsg> = master
+            .iter()
             .map(|locals| JobMsg {
                 run_id,
-                clause: clause.clone(),
+                clause: prepared.clause.clone(),
                 decomps: prepared.decomps.clone(),
                 recv_timeout: opts.recv_timeout,
                 faults: opts.faults,
@@ -362,7 +332,7 @@ impl ProcPool {
                 simd: opts.simd,
                 trace_on,
                 handshake,
-                locals,
+                locals: locals.clone(),
             })
             .collect();
         let mut job_sent = vec![Instant::now(); pmax];
@@ -393,7 +363,6 @@ impl ProcPool {
                             self,
                             &mut running,
                             &mut outcomes,
-                            &mut pre_run,
                             p,
                             format!("worker process exited at the purge barrier ({status})"),
                         );
@@ -411,7 +380,6 @@ impl ProcPool {
                                 self,
                                 &mut running,
                                 &mut outcomes,
-                                &mut pre_run,
                                 p,
                                 "worker never reached the purge barrier".to_string(),
                             );
@@ -445,19 +413,26 @@ impl ProcPool {
                     let p = node as usize;
                     if running[p] {
                         running[p] = false;
+                        // the worker's echo of its locals is not needed:
+                        // the host commits onto its own pre-run copy
                         let ResultMsg {
-                            run_id: _,
-                            p: wp,
-                            locals,
                             writes,
                             stats,
                             sent_to,
                             res,
                             events,
                             timings,
+                            ..
                         } = *r;
-                        outcomes[p] =
-                            Some(((wp, locals, writes, stats, sent_to, res), events, timings));
+                        outcomes[p] = Some(Ok(WaveReply {
+                            jobs: vec![JobReply {
+                                writes,
+                                stats,
+                                sent_to,
+                                res,
+                            }],
+                            trace: BufInner { events, timings },
+                        }));
                     }
                 }
                 Some(RouterEvent::Ctrl {
@@ -478,7 +453,6 @@ impl ProcPool {
                                 self,
                                 &mut running,
                                 &mut outcomes,
-                                &mut pre_run,
                                 p,
                                 format!("worker process died mid-run ({status})"),
                             );
@@ -496,7 +470,6 @@ impl ProcPool {
                         self,
                         &mut running,
                         &mut outcomes,
-                        &mut pre_run,
                         p,
                         format!("worker process died mid-run ({status})"),
                     );
@@ -507,7 +480,6 @@ impl ProcPool {
                         self,
                         &mut running,
                         &mut outcomes,
-                        &mut pre_run,
                         p,
                         "worker made no progress before the run deadline".to_string(),
                     );
@@ -520,44 +492,29 @@ impl ProcPool {
             }
         }
 
-        let mut results: Vec<NodeOutcome> = Vec::with_capacity(pmax);
-        let mut buffered = Vec::new();
-        for (p, slot) in outcomes.into_iter().enumerate() {
-            match slot {
-                Some((outcome, events, timings)) => {
-                    results.push(outcome);
-                    buffered.push((events, timings));
-                }
-                None => results.push((
-                    p as i64,
-                    BTreeMap::new(),
-                    Vec::new(),
-                    NodeStats::default(),
-                    vec![0u64; pmax],
+        let replies: Vec<Collected> = outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(p, slot)| {
+                slot.unwrap_or_else(|| {
                     Err(MachineError::Transport {
                         node: p as i64,
                         detail: "no result collected".to_string(),
-                    }),
-                )),
-            }
-        }
-        self.dirty =
-            opts.faults.is_some() || self.chaos.is_some() || results.iter().any(|r| r.5.is_err());
-        if trace_on {
-            for (events, timings) in buffered {
-                for (n, k) in events {
-                    tracer.record(n, k);
-                }
-                for (n, ph, d) in timings {
-                    tracer.timing(n, ph, d);
-                }
-            }
-        }
+                    })
+                })
+            })
+            .collect();
+        self.dirty = opts.faults.is_some()
+            || self.chaos.is_some()
+            || replies.iter().any(|r| match r {
+                Err(_) => true,
+                Ok(wr) => wr.jobs.iter().any(|j| j.res.is_err()),
+            });
         finalize_run(
-            &prepared.plan.lhs_array,
-            &prepared.referenced,
-            &prepared.decomps,
-            results,
+            std::slice::from_ref(prepared),
+            &referenced,
+            master,
+            replies,
             arrays,
             tracer,
         )
@@ -583,44 +540,6 @@ impl Drop for ProcPool {
             }
         }
     }
-}
-
-/// One-shot dispatch for the cold path
-/// ([`crate::run_distributed_traced`] with a socket backend): build the
-/// pool, run once, tear it down. Sessions keep a persistent pool
-/// instead.
-pub(crate) fn run_one_shot(
-    plan: &SpmdPlan,
-    clause: &Clause,
-    arrays: &mut BTreeMap<String, DistArray>,
-    opts: DistOptions,
-    tracer: &dyn Tracer,
-) -> Result<ExecReport, MachineError> {
-    let node0 = plan
-        .nodes
-        .first()
-        .ok_or_else(|| MachineError::PlanMismatch("plan has no nodes".into()))?;
-    let mut decomps = BTreeMap::new();
-    let mut names = vec![plan.lhs_array.clone()];
-    for rp in &node0.resides {
-        if !names.contains(&rp.array) {
-            names.push(rp.array.clone());
-        }
-    }
-    for name in &names {
-        let da = arrays
-            .get(name)
-            .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
-        decomps.insert(name.clone(), da.decomp().clone());
-    }
-    let prepared = Arc::new(prepare_run(plan.clone(), clause, &decomps)?);
-    let mut pool = ProcPool::new(
-        opts.transport,
-        plan.pmax.max(0) as usize,
-        opts.chaos,
-        opts.timeouts,
-    )?;
-    pool.run(&prepared, clause, arrays, opts, tracer)
 }
 
 // ---------------------------------------------------------------------
@@ -773,7 +692,7 @@ fn serve_job(
         ));
     }
 
-    // --- run: same warm phases as a pooled thread, over the socket
+    // --- run: the pooled thread's worker body, over the socket
     let buf = BufTracer::new();
     buf.set_enabled(job.trace_on);
     let opts = DistOptions {
@@ -787,64 +706,41 @@ fn serve_job(
         chaos: None,
         timeouts: ProtoTimeouts::default(),
     };
-    reset_scratch(scratch, &prepared, p);
-    let mut locals = job.locals;
-    let mut stats = NodeStats::default();
-    let mut sent_to = vec![0u64; pmax];
-    let res = {
+    let reply = {
         let mut ep: Endpoint<Wire> = Endpoint::new(p, Box::new(&mut *link), job.faults, &buf);
-        let phases = catch_unwind(AssertUnwindSafe(|| {
-            warm_phases(
-                p,
-                &mut locals,
-                &prepared,
-                &opts,
-                &mut ep,
-                scratch,
-                None,
-                &mut stats,
-                &mut sent_to,
-                &buf,
-                PhaseSpan::Full,
-            )
-        }));
-        match phases {
-            Ok(r) => {
-                ep.announce_done();
-                if job.trace_on {
-                    buf.record(p, EventKind::PhaseStart(Phase::Drain));
-                    let t0 = Instant::now();
-                    ep.drain(opts.recv_timeout, &mut stats);
-                    buf.timing(p, Phase::Drain, t0.elapsed());
-                    buf.record(p, EventKind::PhaseEnd(Phase::Drain));
-                } else {
-                    ep.drain(opts.recv_timeout, &mut stats);
-                }
-                r
-            }
-            Err(_) => {
-                ep.announce_done();
-                Err(MachineError::NodePanicked { node: p })
-            }
-        }
+        run_jobs(
+            p,
+            &mut ep,
+            scratch,
+            &buf,
+            std::slice::from_ref(&prepared),
+            &job.locals,
+            &opts,
+        )
     }; // endpoint drops; the link is ours again for the control plane
-    if res.is_err() {
-        scratch.writes.clear();
-    }
-    let BufInner { events, timings } = buf.take();
+    let WaveReply { jobs, trace } = reply;
+    let Some(JobReply {
+        writes,
+        stats,
+        sent_to,
+        res,
+    }) = jobs.into_iter().next()
+    else {
+        unreachable!("a 1-job wave replies with one job result")
+    };
     link.heartbeat(); // prove liveness before the (possibly large) result
     Ok(ship(
         link,
         ResultMsg {
             run_id: job.run_id,
             p,
-            locals,
-            writes: std::mem::take(&mut scratch.writes),
+            locals: job.locals,
+            writes,
             stats,
             sent_to,
             res,
-            events,
-            timings,
+            events: trace.events,
+            timings: trace.timings,
         },
     ))
 }

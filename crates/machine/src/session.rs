@@ -130,17 +130,18 @@ pub(crate) struct PoolState {
 }
 
 impl PoolState {
-    /// Execute one prepared clause on whichever backend `opts` selects,
-    /// (re)creating the pool when its identity no longer matches.
-    fn run_clause(
+    /// Execute one wave of prepared clauses on whichever backend `opts`
+    /// selects, (re)creating the pool when its identity no longer
+    /// matches. The socket backends have no shared-memory wave fan-out:
+    /// they run the jobs one after another, each its own 1-job wave.
+    fn run(
         &mut self,
-        prepared: &Arc<PreparedPlan>,
-        clause: &Clause,
+        jobs: &[Arc<PreparedPlan>],
         arrays: &mut BTreeMap<String, DistArray>,
         opts: DistOptions,
         tracer: &dyn Tracer,
-    ) -> Result<ExecReport, MachineError> {
-        let pmax = prepared.plan().pmax;
+    ) -> Result<Vec<ExecReport>, MachineError> {
+        let pmax = jobs.first().map_or(0, |j| j.plan().pmax);
         if opts.transport != TransportKind::InProc {
             // socket backend: real worker processes behind the router;
             // the pool's identity is (backend, pmax, chaos plan, timeouts)
@@ -165,29 +166,13 @@ impl PoolState {
                 Some(pp) => pp,
                 None => unreachable!("process pool created above"),
             };
-            return procs.run(prepared, clause, arrays, opts, tracer);
+            let mut reports = Vec::with_capacity(jobs.len());
+            for job in jobs {
+                reports.append(&mut procs.run(job, arrays, opts, tracer)?);
+            }
+            return Ok(reports);
         }
-        self.inproc(pmax).run(prepared, arrays, opts, tracer)
-    }
-
-    /// Execute one DAG wave on the in-process pool (the socket backends
-    /// never reach here — their waves run member-by-member).
-    fn run_wave(
-        &mut self,
-        jobs: &[Arc<PreparedPlan>],
-        arrays: &mut BTreeMap<String, DistArray>,
-        opts: DistOptions,
-        tracer: &dyn Tracer,
-    ) -> Result<Vec<ExecReport>, MachineError> {
-        let pmax = jobs[0].plan().pmax;
-        let pool = self.inproc(pmax);
-        // a width-1 wave is just a single run — skip the wave machinery
-        // (per-job snapshots, staged commits) it exists to coordinate
-        if jobs.len() == 1 {
-            Ok(vec![pool.run(&jobs[0], arrays, opts, tracer)?])
-        } else {
-            pool.run_wave(jobs, arrays, opts, tracer)
-        }
+        self.inproc(pmax).run(jobs, arrays, opts, tracer)
     }
 
     /// The in-process pool for `pmax` nodes, recreated on a size change.
@@ -491,7 +476,10 @@ impl DistSession {
             pools,
             ..
         } = self;
-        let mut report = pools.with(|p| p.run_clause(&prepared, clause, arrays, *opts, tracer))?;
+        let mut report = pools
+            .with(|p| p.run(std::slice::from_ref(&prepared), arrays, *opts, tracer))?
+            .pop()
+            .ok_or_else(|| MachineError::PlanMismatch("a 1-job wave produced no report".into()))?;
         report.cache_hits = u64::from(hit);
         report.cache_misses = u64::from(!hit);
         report.evictions = evicted;
@@ -665,7 +653,7 @@ impl DistSession {
                 pools,
                 ..
             } = self;
-            let wave_reports = pools.with(|p| p.run_wave(&jobs, arrays, *opts, tracer))?;
+            let wave_reports = pools.with(|p| p.run(&jobs, arrays, *opts, tracer))?;
             if trace_on {
                 for &(s, _) in &clause_steps {
                     tracer.record(HOST, EventKind::ClauseEnd { step: s });

@@ -12,9 +12,9 @@
 //! This module computes those footprints per program step, intersects
 //! them with the closed-form set algebra ([`crate::setops::intersect`],
 //! with bounded enumeration and a conservative "dependent" fallback),
-//! condenses the dependence graph with Tarjan's SCC algorithm, and emits
-//! a [`ProgramDag`]: a wave schedule in which each wave is an antichain
-//! of pairwise-independent steps that the executor may run concurrently.
+//! and levels the dependence graph into a [`ProgramDag`]: a wave
+//! schedule in which each wave is an antichain of pairwise-independent
+//! steps that the executor may run concurrently.
 //!
 //! Redistribution steps alias the *whole* array (the layout of every
 //! element changes), so they read+write the full extent: any clause
@@ -22,13 +22,9 @@
 //! any clause after it depends on it — dependence flows *through* a
 //! redistribution transitively, never around it.
 //!
-//! Because dependence edges only ever point forward in program order
-//! (step `i` → step `j` requires `i < j`), the graph built here is
-//! always acyclic and every strongly connected component is a
-//! singleton. Tarjan condensation is still performed on the general
-//! graph: a hypothetical multi-step component (a cycle) would be
-//! serialized into consecutive single-step waves, which is the only
-//! correct schedule for mutually dependent steps.
+//! Dependence edges only ever point forward in program order (step `i`
+//! → step `j` requires `i < j`), so the graph is acyclic by construction
+//! and one forward pass in program order levels it.
 
 use crate::compiled::clause_signature;
 use crate::program::DecompMap;
@@ -103,17 +99,13 @@ pub struct DepEdge {
     pub kind: DepKind,
 }
 
-/// The condensed dependence DAG of a program, with its wave schedule.
+/// The dependence DAG of a program, with its wave schedule.
 #[derive(Debug, Clone)]
 pub struct ProgramDag {
     /// Number of program steps.
     pub steps: usize,
     /// All dependence edges, `(from, to)` lexicographic order.
     pub edges: Vec<DepEdge>,
-    /// Tarjan strongly connected components, topological order, each
-    /// component's steps in program order. Always singletons for graphs
-    /// built by [`build_dag`] (edges point forward in program order).
-    pub sccs: Vec<Vec<usize>>,
     /// The wave schedule: each wave is a set of pairwise-independent
     /// steps (program order within the wave) that may execute
     /// concurrently; waves execute in order.
@@ -388,78 +380,6 @@ fn step_footprints(step: &ProgramStep, decomps: &DecompMap) -> StepFoot {
     }
 }
 
-/// Iterative Tarjan SCC over `n` nodes with adjacency `adj`.
-/// Components are returned in topological order of the condensation
-/// (sources first), each component's nodes ascending.
-pub fn tarjan_sccs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    #[derive(Clone, Copy)]
-    struct NodeState {
-        index: usize,
-        lowlink: usize,
-        on_stack: bool,
-        visited: bool,
-    }
-    let mut st = vec![
-        NodeState {
-            index: 0,
-            lowlink: 0,
-            on_stack: false,
-            visited: false,
-        };
-        n
-    ];
-    let mut next_index = 0usize;
-    let mut stack: Vec<usize> = Vec::new();
-    let mut comps: Vec<Vec<usize>> = Vec::new();
-    // explicit DFS frames: (node, next child ordinal)
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if st[root].visited {
-            continue;
-        }
-        frames.push((root, 0));
-        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            if *child == 0 {
-                st[v].visited = true;
-                st[v].index = next_index;
-                st[v].lowlink = next_index;
-                next_index += 1;
-                st[v].on_stack = true;
-                stack.push(v);
-            }
-            if let Some(&w) = adj[v].get(*child) {
-                *child += 1;
-                if !st[w].visited {
-                    frames.push((w, 0));
-                } else if st[w].on_stack {
-                    st[v].lowlink = st[v].lowlink.min(st[w].index);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    let low = st[v].lowlink;
-                    st[parent].lowlink = st[parent].lowlink.min(low);
-                }
-                if st[v].lowlink == st[v].index {
-                    let mut comp = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        st[w].on_stack = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comp.sort_unstable();
-                    comps.push(comp);
-                }
-            }
-        }
-    }
-    // Tarjan emits components in reverse topological order
-    comps.reverse();
-    comps
-}
-
 /// Build the dependence DAG and wave schedule of `steps`.
 ///
 /// Dependence between steps `i < j` exists when some shared array has a
@@ -507,75 +427,24 @@ pub fn build_dag(steps: &[ProgramStep], decomps: &DecompMap) -> ProgramDag {
         }
     }
 
-    // adjacency (deduplicated pairs) for condensation + leveling
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // level[j] = 1 + max level[i] over edges i → j. Edges are sorted by
+    // `from` and every edge has `from < to`, so each level is final
+    // before any edge leaves it.
+    let mut level = vec![0usize; n];
     for e in &edges {
-        if !adj[e.from].contains(&e.to) {
-            adj[e.from].push(e.to);
-        }
+        level[e.to] = level[e.to].max(level[e.from] + 1);
     }
-    for a in &mut adj {
-        a.sort_unstable();
-    }
-    let sccs = tarjan_sccs(n, &adj);
-
-    // condensation levels: level(C) = 1 + max(level(pred components))
-    let mut comp_of = vec![0usize; n];
-    for (c, comp) in sccs.iter().enumerate() {
-        for &v in comp {
-            comp_of[v] = c;
-        }
-    }
-    let mut level = vec![0usize; sccs.len()];
-    // sccs are already topologically ordered, so one forward pass fixes
-    // every level
-    for (c, comp) in sccs.iter().enumerate() {
-        for &v in comp {
-            for &w in &adj[v] {
-                let cw = comp_of[w];
-                if cw != c {
-                    level[cw] = level[cw].max(level[c] + 1);
-                }
-            }
-        }
-    }
-
-    // waves: components grouped by level. Singleton components at one
-    // level are mutually independent (an edge would force a level gap)
-    // and merge into one concurrent wave; a multi-step component (a
-    // cycle — impossible from program-order edges, but handled) is
-    // serialized into consecutive single-step waves in program order.
-    let max_level = level.iter().copied().max().unwrap_or(0);
-    let mut waves: Vec<Vec<usize>> = Vec::new();
-    for l in 0..=max_level {
-        let mut merged: Vec<usize> = Vec::new();
-        let mut serial: Vec<Vec<usize>> = Vec::new();
-        for (c, comp) in sccs.iter().enumerate() {
-            if level[c] != l {
-                continue;
-            }
-            if comp.len() == 1 {
-                merged.push(comp[0]);
-            } else {
-                serial.push(comp.clone());
-            }
-        }
-        merged.sort_unstable();
-        if !merged.is_empty() {
-            waves.push(merged);
-        }
-        serial.sort_by_key(|comp| comp.first().copied().unwrap_or(0));
-        for comp in serial {
-            for v in comp {
-                waves.push(vec![v]);
-            }
-        }
+    // waves: steps grouped by level, program order within a wave (two
+    // steps on one level are independent: an edge forces a level gap)
+    let waves_n = level.iter().map(|l| l + 1).max().unwrap_or(0);
+    let mut waves: Vec<Vec<usize>> = vec![Vec::new(); waves_n];
+    for (step, &l) in level.iter().enumerate() {
+        waves[l].push(step);
     }
 
     ProgramDag {
         steps: n,
         edges,
-        sccs,
         waves,
         signature: program_signature(steps),
     }
@@ -688,25 +557,6 @@ mod tests {
         assert_eq!(dag.waves[0], vec![0, 3]);
         assert_eq!(dag.waves[1], vec![1]);
         assert_eq!(dag.waves[2], vec![2]);
-    }
-
-    #[test]
-    fn tarjan_condenses_synthetic_cycle() {
-        // 0 → 1 → 2 → 0 (cycle), 2 → 3
-        let adj = vec![vec![1], vec![2], vec![0, 3], vec![]];
-        let comps = tarjan_sccs(4, &adj);
-        assert_eq!(comps, vec![vec![0, 1, 2], vec![3]]);
-    }
-
-    #[test]
-    fn tarjan_singletons_in_topological_order() {
-        let adj = vec![vec![2], vec![2], vec![3], vec![]];
-        let comps = tarjan_sccs(4, &adj);
-        assert_eq!(comps.len(), 4);
-        let pos = |v: usize| comps.iter().position(|c| c.contains(&v)).unwrap();
-        assert!(pos(0) < pos(2));
-        assert!(pos(1) < pos(2));
-        assert!(pos(2) < pos(3));
     }
 
     #[test]

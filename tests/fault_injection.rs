@@ -27,8 +27,9 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::{Decomp1, RedistPlan};
 use vcal_suite::machine::{
-    run_distributed, run_redistribution_opts, CommMode, DistArray, DistOptions, ExecReport,
-    FaultPlan, MachineError, RetryPolicy, TransportKind,
+    build_dag, run_distributed, run_redistribution_opts, CommMode, DistArray, DistOptions,
+    DistSession, ExecReport, FaultPlan, MachineError, ProgramStep, RetryPolicy, ScheduleMode,
+    TransportKind, NULL_TRACER,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
@@ -163,6 +164,103 @@ fn seeded_drop_reorder_sweep_is_bit_identical() {
             retransmits > 0,
             "{mode:?}: seed sweep never exercised retransmission"
         );
+    }
+}
+
+/// A node crash inside one DAG wave of several jobs is typed, leaves
+/// every array bitwise at its pre-wave image (no job of the wave
+/// commits, and the parts the workers shared come back untouched), and
+/// the same session's next `run_program` matches the sequential oracle.
+#[test]
+fn crash_inside_multi_job_wave_rolls_back_and_session_recovers() {
+    // three pairwise-independent clauses: block lhs arrays reading
+    // scattered sources, so every job sends and receives on every node
+    let n = 64;
+    let at = |name: &str, shift: i64| Expr::Ref(ArrayRef::d1(name, Fn1::shift(shift)));
+    let par = |lhs: &str, rhs: Expr| Clause {
+        iter: IndexSet::range(0, n - 2),
+        ordering: Ordering::Par,
+        guard: Guard::Always,
+        lhs: ArrayRef::d1(lhs, Fn1::identity()),
+        rhs,
+    };
+    let clauses = [
+        par("A", Expr::add(at("B", 1), Expr::Lit(1.0))),
+        par("C", Expr::mul(at("D", 1), Expr::Lit(2.0))),
+        par("E", Expr::add(at("B", 0), at("D", 1))),
+    ];
+    let steps: Vec<ProgramStep> = clauses.iter().cloned().map(ProgramStep::Clause).collect();
+    let mut dm = DecompMap::new();
+    let mut env0 = Env::new();
+    for (k, name) in ["A", "B", "C", "D", "E"].into_iter().enumerate() {
+        let bounds = Bounds::range(0, n - 1);
+        let dec = if k % 2 == 0 {
+            Decomp1::block(PMAX, bounds)
+        } else {
+            Decomp1::scatter(PMAX, bounds)
+        };
+        dm.insert(name.into(), dec);
+        env0.insert(
+            name,
+            Array::from_fn(bounds, |i| (i.scalar() * 7 + k as i64) as f64 * 0.25 - 3.0),
+        );
+    }
+    let dag = build_dag(&steps, &dm);
+    assert_eq!(dag.waves.len(), 1, "the clauses must share one wave");
+    assert_eq!(dag.width(), clauses.len());
+    let mut oracle = env0.clone();
+    for cl in &clauses {
+        oracle.exec_clause(cl);
+    }
+    let bits = |env: &Env, name: &str| -> Vec<u64> {
+        env.get(name)
+            .unwrap()
+            .data()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    let clean = DistOptions {
+        recv_timeout: Duration::from_secs(10),
+        retry: RetryPolicy::fast(),
+        transport: transport(),
+        ..DistOptions::default()
+    };
+    for mode in modes() {
+        for (node, after) in [(0, 0), (PMAX - 1, 2)] {
+            let ctx = format!("{mode:?}, crash node {node} after {after} packets");
+            let mut session = DistSession::new(&env0, dm.clone()).unwrap();
+            let before = session.gather_all();
+            session.set_options(DistOptions {
+                mode,
+                faults: Some(FaultPlan::seeded(5).with_crash(node, after)),
+                ..clean
+            });
+            match session.run_program(&steps, ScheduleMode::Dag, &NULL_TRACER) {
+                Err(MachineError::NodePanicked { node: n }) => assert_eq!(n, node, "{ctx}"),
+                other => panic!("{ctx}: expected NodePanicked, got {other:?}"),
+            }
+            let after_crash = session.gather_all();
+            for name in dm.keys() {
+                assert_eq!(
+                    bits(&after_crash, name),
+                    bits(&before, name),
+                    "{ctx}: `{name}` changed by the failed wave"
+                );
+            }
+            session.set_options(DistOptions { mode, ..clean });
+            session
+                .run_program(&steps, ScheduleMode::Dag, &NULL_TRACER)
+                .unwrap_or_else(|e| panic!("{ctx}: run after the crash failed: {e}"));
+            let got = session.gather_all();
+            for name in dm.keys() {
+                assert_eq!(
+                    bits(&got, name),
+                    bits(&oracle, name),
+                    "{ctx}: `{name}` diverged from the oracle"
+                );
+            }
+        }
     }
 }
 
