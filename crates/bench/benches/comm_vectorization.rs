@@ -17,7 +17,7 @@ use vcal_bench::{copy_clause, env_ab, write_report, ReportRow};
 use vcal_core::func::Fn1;
 use vcal_core::{Bounds, Clause, Env};
 use vcal_decomp::Decomp1;
-use vcal_machine::{run_distributed, CommMode, DistArray, DistOptions};
+use vcal_machine::{run_distributed, CommMode, DistArray, DistOptions, NULL_TRACER};
 use vcal_spmd::{DecompMap, SpmdPlan};
 
 const N: i64 = 1024;
@@ -40,7 +40,7 @@ fn run_once(plan: &SpmdPlan, clause: &Clause, env: &Env, dm: &DecompMap, mode: C
         mode,
         ..DistOptions::default()
     };
-    run_distributed(plan, clause, &mut arrays, opts).unwrap();
+    run_distributed(plan, clause, &mut arrays, opts, &NULL_TRACER).unwrap();
     arrays["A"].read_local(0, 0)
 }
 
@@ -81,7 +81,7 @@ fn bench_comm_vectorization(c: &mut Criterion) {
                     mode,
                     ..DistOptions::default()
                 };
-                run_distributed(&plan, &clause, &mut arrays, opts)
+                run_distributed(&plan, &clause, &mut arrays, opts, &NULL_TRACER)
                     .unwrap()
                     .total()
             };

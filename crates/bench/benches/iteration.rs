@@ -24,7 +24,7 @@ use vcal_bench::{stencil_clause, write_report, ReportRow};
 use vcal_core::func::Fn1;
 use vcal_core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_decomp::Decomp1;
-use vcal_machine::{run_distributed, CommMode, DistArray, DistOptions, DistSession};
+use vcal_machine::{run_distributed, CommMode, DistArray, DistOptions, DistSession, NULL_TRACER};
 use vcal_spmd::{DecompMap, SpmdPlan};
 
 const N: i64 = 1024;
@@ -87,9 +87,9 @@ fn cold_loop(
     };
     for _ in 0..steps {
         let plan = SpmdPlan::build(sweep, dm).unwrap();
-        run_distributed(&plan, sweep, &mut arrays, opts).unwrap();
+        run_distributed(&plan, sweep, &mut arrays, opts, &NULL_TRACER).unwrap();
         let plan = SpmdPlan::build(back, dm).unwrap();
-        run_distributed(&plan, back, &mut arrays, opts).unwrap();
+        run_distributed(&plan, back, &mut arrays, opts, &NULL_TRACER).unwrap();
     }
     arrays["U"].read_local(0, 1)
 }
@@ -98,8 +98,8 @@ fn cold_loop(
 /// on a persistent pool.
 fn warm_loop(steps: usize, sweep: &Clause, back: &Clause, session: &mut DistSession) -> f64 {
     for _ in 0..steps {
-        session.run(sweep).unwrap();
-        session.run(back).unwrap();
+        session.run(sweep, &NULL_TRACER).unwrap();
+        session.run(back, &NULL_TRACER).unwrap();
     }
     session.gather("U").unwrap().get(&vcal_core::Ix::d1(1))
 }
@@ -126,8 +126,8 @@ fn bench_iteration(c: &mut Criterion) {
                         ..DistOptions::default()
                     });
             // prime: first run pays the cache miss and pool spawn once
-            session.run(&sweep).unwrap();
-            session.run(&back).unwrap();
+            session.run(&sweep, &NULL_TRACER).unwrap();
+            session.run(&back, &NULL_TRACER).unwrap();
             b.iter(|| black_box(warm_loop(STEPS, &sweep, &back, &mut session)))
         });
 
@@ -146,8 +146,8 @@ fn bench_iteration(c: &mut Criterion) {
                 mode,
                 ..DistOptions::default()
             });
-        session.run(&sweep).unwrap();
-        session.run(&back).unwrap();
+        session.run(&sweep, &NULL_TRACER).unwrap();
+        session.run(&back, &NULL_TRACER).unwrap();
         let t0 = Instant::now();
         for _ in 0..reps {
             black_box(warm_loop(STEPS, &sweep, &back, &mut session));

@@ -28,7 +28,7 @@ use vcal_bench::{stencil_clause, write_report, ReportRow};
 use vcal_core::func::Fn1;
 use vcal_core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ix, Ordering};
 use vcal_decomp::Decomp1;
-use vcal_machine::{run_distributed, CommMode, DistArray, DistOptions, DistSession};
+use vcal_machine::{run_distributed, CommMode, DistArray, DistOptions, DistSession, NULL_TRACER};
 use vcal_spmd::{CompiledKernel, DecompMap, FusedShape, SpmdPlan};
 
 const N: i64 = 1024;
@@ -123,17 +123,17 @@ fn cold_loop(
     let mut arrays = dist_arrays(env, dm);
     for _ in 0..steps {
         let plan = SpmdPlan::build(sweep, dm).unwrap();
-        run_distributed(&plan, sweep, &mut arrays, opts).unwrap();
+        run_distributed(&plan, sweep, &mut arrays, opts, &NULL_TRACER).unwrap();
         let plan = SpmdPlan::build(back, dm).unwrap();
-        run_distributed(&plan, back, &mut arrays, opts).unwrap();
+        run_distributed(&plan, back, &mut arrays, opts, &NULL_TRACER).unwrap();
     }
     arrays["U"].read_local(0, 1)
 }
 
 fn warm_loop(steps: usize, sweep: &Clause, back: &Clause, session: &mut DistSession) -> f64 {
     for _ in 0..steps {
-        session.run(sweep).unwrap();
-        session.run(back).unwrap();
+        session.run(sweep, &NULL_TRACER).unwrap();
+        session.run(back, &NULL_TRACER).unwrap();
     }
     session.gather("U").unwrap().get(&Ix::d1(1))
 }
@@ -143,8 +143,8 @@ fn primed_session(env: &Env, dm: &DecompMap, opts: DistOptions) -> DistSession {
     let mut session = DistSession::new(env, dm.clone())
         .unwrap()
         .with_options(opts);
-    session.run(&sweep).unwrap();
-    session.run(&back).unwrap();
+    session.run(&sweep, &NULL_TRACER).unwrap();
+    session.run(&back, &NULL_TRACER).unwrap();
     session
 }
 

@@ -37,7 +37,7 @@ use vcal_bench::{stencil_clause, write_report, ReportRow};
 use vcal_core::func::Fn1;
 use vcal_core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_decomp::Decomp1;
-use vcal_machine::{run_distributed, DistArray, DistOptions, DistSession, SimdPolicy};
+use vcal_machine::{run_distributed, DistArray, DistOptions, DistSession, SimdPolicy, NULL_TRACER};
 use vcal_spmd::{simd, DecompMap, FusedShape, SpmdPlan};
 
 const SIZES: &[usize] = &[1_000_000, 10_000_000, 100_000_000];
@@ -276,8 +276,8 @@ fn cold_step(n: i64, env: &Env, dm: &DecompMap, opts: DistOptions) -> (f64, Vec<
     let back_plan = SpmdPlan::build(&back, dm).unwrap();
     let mut arrays = dist_arrays(env, dm);
     let t0 = Instant::now();
-    run_distributed(&sweep_plan, &sweep, &mut arrays, opts).unwrap();
-    run_distributed(&back_plan, &back, &mut arrays, opts).unwrap();
+    run_distributed(&sweep_plan, &sweep, &mut arrays, opts, &NULL_TRACER).unwrap();
+    run_distributed(&back_plan, &back, &mut arrays, opts, &NULL_TRACER).unwrap();
     let secs = t0.elapsed().as_secs_f64();
     let bits = arrays["U"]
         .gather()
@@ -302,12 +302,12 @@ fn warm_steps(
     let mut session = DistSession::new(env, dm.clone())
         .unwrap()
         .with_options(opts);
-    session.run(&sweep).unwrap();
-    session.run(&back).unwrap();
+    session.run(&sweep, &NULL_TRACER).unwrap();
+    session.run(&back, &NULL_TRACER).unwrap();
     let t0 = Instant::now();
     for _ in 0..steps {
-        session.run(&sweep).unwrap();
-        session.run(&back).unwrap();
+        session.run(&sweep, &NULL_TRACER).unwrap();
+        session.run(&back, &NULL_TRACER).unwrap();
     }
     let secs = t0.elapsed().as_secs_f64() / steps as f64;
     let bits = session

@@ -17,7 +17,9 @@ use vcal_bench::{copy_clause, decomps_ab, env_ab, stencil_clause, write_report, 
 use vcal_core::func::Fn1;
 use vcal_core::{Array, Bounds, Env};
 use vcal_decomp::Decomp1;
-use vcal_machine::{run_distributed, run_shared, DistArray, DistOptions, WriteStrategy};
+use vcal_machine::{
+    run_distributed, run_shared, DistArray, DistOptions, WriteStrategy, NULL_TRACER,
+};
 use vcal_spmd::{CommStats, DecompMap, SpmdPlan};
 
 fn bench_shared(c: &mut Criterion) {
@@ -139,8 +141,14 @@ fn bench_distributed(c: &mut Criterion) {
                         DistArray::scatter_from(env.get(a).unwrap(), dm[a].clone()),
                     );
                 }
-                let r =
-                    run_distributed(&plan, &clause, &mut arrays, DistOptions::default()).unwrap();
+                let r = run_distributed(
+                    &plan,
+                    &clause,
+                    &mut arrays,
+                    DistOptions::default(),
+                    &NULL_TRACER,
+                )
+                .unwrap();
                 black_box(r.total().msgs_sent)
             })
         });

@@ -17,7 +17,7 @@ use vcal_core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ord
 use vcal_decomp::{Decomp1, OverlapDecomp};
 use vcal_machine::{
     exchange_ghosts, run_distributed, run_doacross, run_halo_sweep, DistArray, DistOptions,
-    HaloArray,
+    HaloArray, NULL_TRACER,
 };
 use vcal_spmd::{DecompMap, SpmdPlan};
 
@@ -99,7 +99,14 @@ fn bench_halo_vs_template(c: &mut Criterion) {
                     DistArray::scatter_from(env.get(a).unwrap(), dm[a].clone()),
                 );
             }
-            let r = run_distributed(&plan, &clause, &mut arrays, DistOptions::default()).unwrap();
+            let r = run_distributed(
+                &plan,
+                &clause,
+                &mut arrays,
+                DistOptions::default(),
+                &NULL_TRACER,
+            )
+            .unwrap();
             black_box(r.total().msgs_sent)
         })
     });
@@ -108,7 +115,7 @@ fn bench_halo_vs_template(c: &mut Criterion) {
             let ov = OverlapDecomp::new(dec.clone(), 1);
             let mut u = HaloArray::scatter_from(env.get("U").unwrap(), ov.clone());
             let mut v = HaloArray::scatter_from(env.get("V").unwrap(), ov);
-            let x = exchange_ghosts(&mut u);
+            let x = exchange_ghosts(&mut u, &NULL_TRACER);
             let mut reads = BTreeMap::new();
             reads.insert("U".to_string(), u);
             let r = run_halo_sweep(&clause, &mut v, &reads).unwrap();
@@ -128,15 +135,21 @@ fn bench_halo_vs_template(c: &mut Criterion) {
                     DistArray::scatter_from(env.get(a).unwrap(), dm[a].clone()),
                 );
             }
-            run_distributed(&plan, &clause, &mut arrays, DistOptions::default())
-                .unwrap()
-                .total()
-                .msgs_sent
+            run_distributed(
+                &plan,
+                &clause,
+                &mut arrays,
+                DistOptions::default(),
+                &NULL_TRACER,
+            )
+            .unwrap()
+            .total()
+            .msgs_sent
         },
         {
             let ov = OverlapDecomp::new(dec.clone(), 1);
             let mut u = HaloArray::scatter_from(env.get("U").unwrap(), ov);
-            exchange_ghosts(&mut u).total().msgs_sent
+            exchange_ghosts(&mut u, &NULL_TRACER).total().msgs_sent
         }
     );
 }

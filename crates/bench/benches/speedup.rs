@@ -11,7 +11,7 @@ use vcal_bench::{copy_clause, decomps_ab, stencil_clause, write_report, ReportRo
 use vcal_core::func::Fn1;
 use vcal_core::{Array, Bounds, Env};
 use vcal_decomp::Decomp1;
-use vcal_machine::{run_distributed, DistArray, DistOptions, PerfModel};
+use vcal_machine::{run_distributed, DistArray, DistOptions, PerfModel, NULL_TRACER};
 use vcal_spmd::{DecompMap, SpmdPlan};
 
 fn speedup_tables(c: &mut Criterion) {
@@ -68,8 +68,14 @@ fn speedup_tables(c: &mut Criterion) {
                     DistArray::scatter_from(env.get(a).unwrap(), dm[a].clone()),
                 );
             }
-            let report =
-                run_distributed(&plan, &clause, &mut arrays, DistOptions::default()).unwrap();
+            let report = run_distributed(
+                &plan,
+                &clause,
+                &mut arrays,
+                DistOptions::default(),
+                &NULL_TRACER,
+            )
+            .unwrap();
             let s = model.speedup_of_report(&report, (n - 2) as u64);
             line.push_str(&format!(" {s:>10.2}"));
         }

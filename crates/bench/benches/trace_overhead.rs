@@ -21,8 +21,8 @@ use vcal_core::func::Fn1;
 use vcal_core::{Bounds, Clause, Env};
 use vcal_decomp::Decomp1;
 use vcal_machine::{
-    replay_check, run_distributed_traced, CollectingTracer, CommMode, DistArray, DistOptions,
-    PerfModel, Tracer, NULL_TRACER,
+    replay_check, run_distributed, CollectingTracer, CommMode, DistArray, DistOptions, PerfModel,
+    Tracer, NULL_TRACER,
 };
 use vcal_spmd::{DecompMap, SpmdPlan};
 
@@ -63,7 +63,7 @@ fn run_once(
         mode,
         ..DistOptions::default()
     };
-    run_distributed_traced(plan, clause, &mut arrays, opts, tracer).unwrap();
+    run_distributed(plan, clause, &mut arrays, opts, tracer).unwrap();
     arrays["A"].read_local(0, 0)
 }
 
@@ -102,7 +102,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
             mode,
             ..DistOptions::default()
         };
-        let report = run_distributed_traced(&plan, &clause, &mut arrays, opts, &tracer).unwrap();
+        let report = run_distributed(&plan, &clause, &mut arrays, opts, &tracer).unwrap();
         let log = tracer.finish();
         let summary = replay_check(&log, &plan, mode, opts.retry).expect("replay must validate");
         let predicted = PerfModel::default().price_report(&report);

@@ -10,7 +10,7 @@
 //!   (Definition 3) with the structure Section 3's optimizations need:
 //!   composition, inverses, monotonicity, breakpoints;
 //! * [`view`] — views and view composition (Definitions 4–5);
-//! * [`clause`] / [`env`] — executable clauses
+//! * [`clause`] / [`env`](mod@env) — executable clauses
 //!   `∆(i ∈ I) ◊ [f(i)](A) := Expr([g(i)](B))` and the sequential
 //!   reference executor every generated SPMD program must agree with;
 //! * [`term`] — the symbolic term language and the paper's rewrite rules

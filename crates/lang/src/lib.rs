@@ -11,12 +11,12 @@
 //! od;
 //! ```
 //!
-//! * [`lex`] / [`parse`] — tokens and recursive-descent parsing;
+//! * [`lex`] / [`parse`](mod@parse) — tokens and recursive-descent parsing;
 //! * [`ast`] — loops, guards, assignments, and subscript expressions
 //!   covering the paper's function classes (`c`, `a*i+c`, `mod`, `div`,
 //!   squaring);
-//! * [`translate`] — AST → [`vcal_core::Clause`] with symbolic access
-//!   functions and inferred `•` / `//` ordering;
+//! * [`translate`](mod@translate) — AST → [`vcal_core::Clause`] with
+//!   symbolic access functions and inferred `•` / `//` ordering;
 //! * [`pretty`] — rendering clauses in the paper's V-cal notation and
 //!   back to imperative form.
 #![warn(missing_docs)]

@@ -606,6 +606,24 @@ fn dec_decomp(d: &mut Dec) -> R<Decomp1> {
     if extent.lo().dims() != 1 {
         return Err(bad("Decomp1 extent dimensionality"));
     }
+    // `Decomp1::new` asserts these (and `Bounds::count` must not
+    // overflow); a crafted record must not reach them
+    let (lo, hi) = (extent.lo()[0], extent.hi()[0]);
+    if hi.checked_sub(lo).and_then(|w| w.checked_add(1)).is_none() {
+        return Err(bad("Decomp1 extent width"));
+    }
+    match dist {
+        Distribution::Block { b } | Distribution::BlockScatter { b } if b < 1 => {
+            return Err(bad("Decomp1 block size"));
+        }
+        Distribution::Block { b }
+            if b.checked_mul(pmax)
+                .is_none_or(|cap| cap < extent.count() as i64) =>
+        {
+            return Err(bad("Decomp1 block coverage"));
+        }
+        _ => {}
+    }
     Ok(Decomp1::new(dist, pmax, extent))
 }
 
@@ -2083,6 +2101,49 @@ mod tests {
         let r4 = dec_resp(&enc_resp(&bad_resp)).expect("error response roundtrips");
         let err = r4.res.expect_err("error arm");
         assert!(format!("{err}").contains("admission: queue full"));
+    }
+
+    /// Hand-encode a `Decomp1` record: tag, block size (Block and
+    /// BlockScatter only), pmax, 1-D extent.
+    fn decomp_bytes(tag: u8, b: i64, pmax: i64, lo: i64, hi: i64) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.u8(tag);
+        if tag == 0 || tag == 2 {
+            e.i64(b);
+        }
+        e.i64(pmax);
+        enc_bounds(&mut e, &Bounds::range(lo, hi));
+        e.buf
+    }
+
+    #[test]
+    fn decomp_block_size_below_one_fails_typed() {
+        for tag in [0, 2] {
+            for b in [0, -3] {
+                let bytes = decomp_bytes(tag, b, 4, 0, 15);
+                let err = dec_decomp(&mut Dec::new(&bytes)).expect_err("b < 1");
+                assert!(err.0.contains("block size"), "{err}");
+            }
+        }
+        let ok = decomp_bytes(2, 1, 4, 0, 15);
+        assert!(dec_decomp(&mut Dec::new(&ok)).is_ok());
+    }
+
+    #[test]
+    fn decomp_block_not_covering_extent_fails_typed() {
+        // Block(3) on 4 processors holds 12 of 16 elements
+        let bytes = decomp_bytes(0, 3, 4, 0, 15);
+        let err = dec_decomp(&mut Dec::new(&bytes)).expect_err("uncovered");
+        assert!(err.0.contains("block coverage"), "{err}");
+        // b · pmax overflowing i64 is rejected, not wrapped
+        let bytes = decomp_bytes(0, i64::MAX / 2, 4, 0, 15);
+        assert!(dec_decomp(&mut Dec::new(&bytes)).is_err());
+        // an extent whose element count overflows i64
+        let bytes = decomp_bytes(1, 0, 4, i64::MIN, i64::MAX);
+        let err = dec_decomp(&mut Dec::new(&bytes)).expect_err("huge extent");
+        assert!(err.0.contains("extent width"), "{err}");
+        let ok = decomp_bytes(0, 4, 4, 0, 15);
+        assert!(dec_decomp(&mut Dec::new(&ok)).is_ok());
     }
 
     #[test]

@@ -59,7 +59,7 @@ use crate::darray::DistArray;
 use crate::error::MachineError;
 use crate::executor::{prepare_run, DistExecutor};
 use crate::net::ChaosPlan;
-use crate::obs::{EventKind, Tracer, NULL_TRACER};
+use crate::obs::{EventKind, Tracer};
 use crate::proc::ProcPool;
 use crate::stats::{ExecReport, NodeStats};
 use crate::transport::{
@@ -380,28 +380,18 @@ pub(crate) fn disassemble(
 /// with. On success the images are updated in place; on *any* error the
 /// images are restored to their pre-run state (writes are committed by
 /// the host only after every node succeeded).
-pub fn run_distributed(
-    plan: &SpmdPlan,
-    clause: &Clause,
-    arrays: &mut BTreeMap<String, DistArray>,
-    opts: DistOptions,
-) -> Result<ExecReport, MachineError> {
-    run_distributed_traced(plan, clause, arrays, opts, &NULL_TRACER)
-}
-
-/// Like [`run_distributed`] but with an observability hook: dispatch
-/// decisions, phase spans, per-element/packet traffic, and transport
-/// reliability events are reported to `tracer` (see [`crate::obs`]).
-/// With a disabled tracer the instrumented paths cost one cached
-/// branch each — [`run_distributed`] simply passes
-/// [`crate::obs::NULL_TRACER`].
+///
+/// Dispatch decisions, phase spans, per-element/packet traffic, and
+/// transport reliability events are reported to `tracer` (see
+/// [`crate::obs`]); with [`crate::obs::NULL_TRACER`] the instrumented
+/// paths cost one cached branch each.
 ///
 /// A cold run is the persistent engine with a throwaway pool: the plan
 /// is prepared ([`crate::prepare_run`]) against the arrays' current
 /// decompositions and executed as a 1-job wave on a fresh
 /// [`crate::DistExecutor`] (or, for the socket backends, a fresh pool of
 /// worker processes), which is torn down on return.
-pub fn run_distributed_traced(
+pub fn run_distributed(
     plan: &SpmdPlan,
     clause: &Clause,
     arrays: &mut BTreeMap<String, DistArray>,
@@ -1150,6 +1140,7 @@ pub(crate) fn recv_packed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::NULL_TRACER;
     use std::time::Instant;
     use vcal_core::func::Fn1;
     use vcal_core::{Array, ArrayRef, Bounds, Env, IndexSet, Ordering};
@@ -1205,7 +1196,14 @@ mod tests {
             SpmdPlan::build(clause, dm).unwrap()
         };
         let mut arrays = scatter_arrays(env0, dm);
-        let report = run_distributed(&plan, clause, &mut arrays, DistOptions::default()).unwrap();
+        let report = run_distributed(
+            &plan,
+            clause,
+            &mut arrays,
+            DistOptions::default(),
+            &NULL_TRACER,
+        )
+        .unwrap();
         let got = arrays["A"].gather();
         assert_eq!(
             got.max_abs_diff(expect.get("A").unwrap()),
@@ -1344,7 +1342,14 @@ mod tests {
                 DistArray::scatter_from(env.get(name).unwrap(), dm[name].clone()),
             );
         }
-        run_distributed(&plan, &clause, &mut arrays, DistOptions::default()).unwrap();
+        run_distributed(
+            &plan,
+            &clause,
+            &mut arrays,
+            DistOptions::default(),
+            &NULL_TRACER,
+        )
+        .unwrap();
         assert_eq!(
             arrays["A"].gather().max_abs_diff(expect.get("A").unwrap()),
             0.0
@@ -1371,7 +1376,7 @@ mod tests {
                 mode,
                 ..DistOptions::default()
             };
-            let report = run_distributed(&plan, &clause, &mut arrays, opts).unwrap();
+            let report = run_distributed(&plan, &clause, &mut arrays, opts, &NULL_TRACER).unwrap();
             totals.push(report.total());
         }
         let (elem, vect) = (totals[0], totals[1]);
@@ -1407,7 +1412,7 @@ mod tests {
             mode: CommMode::Element,
             ..DistOptions::default()
         };
-        run_distributed(&plan, &clause, &mut arrays, opts).unwrap();
+        run_distributed(&plan, &clause, &mut arrays, opts, &NULL_TRACER).unwrap();
         assert_eq!(
             arrays["A"].gather().max_abs_diff(expect.get("A").unwrap()),
             0.0
@@ -1438,7 +1443,7 @@ mod tests {
             retry: RetryPolicy::fast(),
             ..DistOptions::default()
         };
-        let report = run_distributed(&plan, &clause, &mut arrays, opts).unwrap();
+        let report = run_distributed(&plan, &clause, &mut arrays, opts, &NULL_TRACER).unwrap();
         assert_eq!(
             arrays["A"].gather().max_abs_diff(expect.get("A").unwrap()),
             0.0
@@ -1471,7 +1476,7 @@ mod tests {
             retry: RetryPolicy::none(),
             ..DistOptions::default()
         };
-        let err = run_distributed(&plan, &clause, &mut arrays, opts).unwrap_err();
+        let err = run_distributed(&plan, &clause, &mut arrays, opts, &NULL_TRACER).unwrap_err();
         assert!(matches!(err, MachineError::MissingMessage { .. }), "{err}");
     }
 
@@ -1497,7 +1502,7 @@ mod tests {
             retry: RetryPolicy::none(),
             ..DistOptions::default()
         };
-        let err = run_distributed(&plan, &clause, &mut arrays, opts).unwrap_err();
+        let err = run_distributed(&plan, &clause, &mut arrays, opts, &NULL_TRACER).unwrap_err();
         match err {
             MachineError::MissingPacket { peer, .. } => assert_eq!(peer, 1),
             e => panic!("expected MissingPacket, got {e}"),
@@ -1526,7 +1531,7 @@ mod tests {
             ..DistOptions::default()
         };
         let t0 = Instant::now();
-        let err = run_distributed(&plan, &clause, &mut arrays, opts).unwrap_err();
+        let err = run_distributed(&plan, &clause, &mut arrays, opts, &NULL_TRACER).unwrap_err();
         assert_eq!(err, MachineError::NodePanicked { node: 2 }, "{err}");
         // bounded detection, no hang
         assert!(t0.elapsed() < Duration::from_secs(10));
@@ -1557,7 +1562,7 @@ mod tests {
             ..DistOptions::default()
         };
         let t0 = Instant::now();
-        let err = run_distributed(&plan, &clause, &mut arrays, opts).unwrap_err();
+        let err = run_distributed(&plan, &clause, &mut arrays, opts, &NULL_TRACER).unwrap_err();
         match err {
             MachineError::Unrecoverable { peer, retries, .. } => {
                 assert_eq!(peer, 1);
@@ -1600,7 +1605,7 @@ mod tests {
                 retry: RetryPolicy::fast(),
                 ..DistOptions::default()
             };
-            run_distributed(&plan, &clause, &mut arrays, opts)
+            run_distributed(&plan, &clause, &mut arrays, opts, &NULL_TRACER)
                 .unwrap_or_else(|e| panic!("{mode:?}: {e}"));
             assert_eq!(
                 arrays["A"].gather().max_abs_diff(expect.get("A").unwrap()),
@@ -1626,7 +1631,14 @@ mod tests {
         let plan = SpmdPlan::build(&clause, &dm).unwrap();
         let mut arrays = scatter_arrays(&env, &dm);
         assert_eq!(
-            run_distributed(&plan, &clause, &mut arrays, DistOptions::default()).unwrap_err(),
+            run_distributed(
+                &plan,
+                &clause,
+                &mut arrays,
+                DistOptions::default(),
+                &NULL_TRACER
+            )
+            .unwrap_err(),
             MachineError::SequentialClause
         );
     }

@@ -16,18 +16,17 @@
 //! (sequencing, checksums, duplicate suppression, NACK/retransmit
 //! recovery) with the same seeded fault injection, typed errors, and
 //! panic-safe supervision as the 1-D machine — configure them through
-//! [`run_distributed_nd_opts`].
+//! [`run_distributed_nd`]'s options.
 
 use crate::darray_nd::DistArrayNd;
 use crate::distributed::{CommMode, DistOptions, ELEM_MSG_BYTES, PACK_HEADER_BYTES};
 use crate::error::MachineError;
-use crate::obs::{EventKind, Phase, Tracer, NULL_TRACER};
+use crate::obs::{EventKind, Phase, Tracer};
 use crate::stats::{ExecReport, NodeStats};
 use crate::transport::{await_until, AwaitFail, Endpoint, Frame, WirePayload};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
-use std::time::Duration;
 use vcal_core::map::IndexMap;
 use vcal_core::{BinOp, Clause, CmpOp, Expr, Guard, Ix, Ordering};
 use vcal_decomp::DecompNd;
@@ -342,50 +341,13 @@ fn for_each_owned(
 }
 
 /// Execute a `//` clause of any dimensionality on the distributed grid
-/// machine with the default (vectorized) communication mode. All
-/// referenced arrays must be in `arrays`, decomposed over grids with
-/// the same total processor count.
+/// machine. All referenced arrays must be in `arrays`, decomposed over
+/// grids with the same total processor count. `opts` selects the
+/// timeout, communication mode, seeded fault injection, and retry
+/// policy. Per-node phase events and wall-clock timings are recorded
+/// through `tracer` (the nd machine traces at phase granularity; its
+/// per-element indices are [`Ix`] and never enter the event log).
 pub fn run_distributed_nd(
-    clause: &Clause,
-    arrays: &mut BTreeMap<String, DistArrayNd>,
-    recv_timeout: Duration,
-) -> Result<ExecReport, MachineError> {
-    run_distributed_nd_mode(clause, arrays, recv_timeout, CommMode::default())
-}
-
-/// Like [`run_distributed_nd`] but with an explicit [`CommMode`].
-pub fn run_distributed_nd_mode(
-    clause: &Clause,
-    arrays: &mut BTreeMap<String, DistArrayNd>,
-    recv_timeout: Duration,
-    mode: CommMode,
-) -> Result<ExecReport, MachineError> {
-    run_distributed_nd_opts(
-        clause,
-        arrays,
-        DistOptions {
-            recv_timeout,
-            mode,
-            ..DistOptions::default()
-        },
-    )
-}
-
-/// Like [`run_distributed_nd`] but with full [`DistOptions`] — timeout,
-/// communication mode, seeded fault injection, and retry policy.
-pub fn run_distributed_nd_opts(
-    clause: &Clause,
-    arrays: &mut BTreeMap<String, DistArrayNd>,
-    opts: DistOptions,
-) -> Result<ExecReport, MachineError> {
-    run_distributed_nd_traced(clause, arrays, opts, &NULL_TRACER)
-}
-
-/// Like [`run_distributed_nd_opts`] but records per-node phase events
-/// and wall-clock timings through `tracer` (the nd machine traces at
-/// phase granularity; its per-element indices are [`Ix`] and never
-/// enter the event log).
-pub fn run_distributed_nd_traced(
     clause: &Clause,
     arrays: &mut BTreeMap<String, DistArrayNd>,
     opts: DistOptions,
@@ -1218,8 +1180,10 @@ fn node_phases_nd(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::NULL_TRACER;
     use crate::transport::FaultPlan;
     use crate::transport::RetryPolicy;
+    use std::time::Duration;
     use vcal_core::func::Fn1;
     use vcal_core::{Array, ArrayRef, Bounds, Env, IndexSet};
     use vcal_decomp::Decomp1;
@@ -1241,7 +1205,7 @@ mod tests {
                 DistArrayNd::scatter_from(env.get(name).unwrap(), d.clone()),
             );
         }
-        run_distributed_nd(clause, &mut arrays, Duration::from_secs(5)).unwrap();
+        run_distributed_nd(clause, &mut arrays, DistOptions::default(), &NULL_TRACER).unwrap();
         let got = arrays[&clause.lhs.array].gather();
         assert_eq!(
             got.max_abs_diff(reference.get(&clause.lhs.array).unwrap()),
@@ -1398,9 +1362,16 @@ mod tests {
                     DistArrayNd::scatter_from(env.get(name).unwrap(), d.clone()),
                 );
             }
-            let report =
-                run_distributed_nd_mode(&clause, &mut arrays, Duration::from_secs(5), mode)
-                    .unwrap();
+            let report = run_distributed_nd(
+                &clause,
+                &mut arrays,
+                DistOptions {
+                    mode,
+                    ..DistOptions::default()
+                },
+                &NULL_TRACER,
+            )
+            .unwrap();
             assert_eq!(
                 arrays["B"]
                     .gather()
@@ -1468,7 +1439,7 @@ mod tests {
                 retry: RetryPolicy::fast(),
                 ..DistOptions::default()
             };
-            let report = run_distributed_nd_opts(&clause, &mut arrays, opts)
+            let report = run_distributed_nd(&clause, &mut arrays, opts, &NULL_TRACER)
                 .unwrap_or_else(|e| panic!("{mode:?}: {e}"));
             assert_eq!(
                 arrays["B"]
@@ -1500,7 +1471,7 @@ mod tests {
             retry: RetryPolicy::fast(),
             ..DistOptions::default()
         };
-        let err = run_distributed_nd_opts(&clause, &mut arrays, opts).unwrap_err();
+        let err = run_distributed_nd(&clause, &mut arrays, opts, &NULL_TRACER).unwrap_err();
         assert_eq!(err, MachineError::NodePanicked { node: 3 });
     }
 
@@ -1518,7 +1489,15 @@ mod tests {
         arrays.insert("A".to_string(), DistArrayNd::zeros(grid(2, 2, n, n)));
         arrays.insert("B".to_string(), DistArrayNd::zeros(grid(2, 3, n, n)));
         assert!(matches!(
-            run_distributed_nd(&clause, &mut arrays, Duration::from_millis(100)),
+            run_distributed_nd(
+                &clause,
+                &mut arrays,
+                DistOptions {
+                    recv_timeout: Duration::from_millis(100),
+                    ..DistOptions::default()
+                },
+                &NULL_TRACER
+            ),
             Err(MachineError::PlanMismatch(_))
         ));
     }

@@ -10,7 +10,7 @@
 //! `machines` bench and `stencil` example measure.
 
 use crate::error::MachineError;
-use crate::obs::{EventKind, Phase, Tracer, NULL_TRACER};
+use crate::obs::{EventKind, Phase, Tracer};
 use crate::stats::{ExecReport, NodeStats};
 use vcal_core::{Array, Clause, Expr, Guard, Ix, Ordering};
 use vcal_decomp::OverlapDecomp;
@@ -74,15 +74,11 @@ impl HaloArray {
 }
 
 /// Refresh every ghost cell from its owner, following the decomposition's
-/// exchange plan. Returns per-node message statistics.
-pub fn exchange_ghosts(array: &mut HaloArray) -> ExecReport {
-    exchange_ghosts_traced(array, &NULL_TRACER)
-}
-
-/// Like [`exchange_ghosts`] but records one [`EventKind::HaloMsg`] per
-/// planned boundary message (at the sending node) and the whole
-/// exchange's wall-clock as a host-side [`Phase::Halo`] timing.
-pub fn exchange_ghosts_traced(array: &mut HaloArray, tracer: &dyn Tracer) -> ExecReport {
+/// exchange plan. Returns per-node message statistics. One
+/// [`EventKind::HaloMsg`] per planned boundary message (at the sending
+/// node) and the whole exchange's wall-clock as a host-side
+/// [`Phase::Halo`] timing are recorded through `tracer`.
+pub fn exchange_ghosts(array: &mut HaloArray, tracer: &dyn Tracer) -> ExecReport {
     let trace_on = tracer.enabled();
     if trace_on {
         tracer.record(crate::obs::HOST, EventKind::PhaseStart(Phase::Halo));
@@ -244,6 +240,7 @@ fn eval_halo(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::NULL_TRACER;
     use std::collections::BTreeMap;
     use vcal_core::func::Fn1;
     use vcal_core::{ArrayRef, Bounds, Env, IndexSet};
@@ -305,11 +302,11 @@ mod tests {
         let (mut u, mut v) = halo_pair(n, pmax, 1, &env);
         let mut total_msgs = 0;
         for _ in 0..sweeps {
-            total_msgs += exchange_ghosts(&mut u).total().msgs_sent;
+            total_msgs += exchange_ghosts(&mut u, &NULL_TRACER).total().msgs_sent;
             let mut reads = BTreeMap::new();
             reads.insert("U".to_string(), u.clone());
             run_halo_sweep(&sweep, &mut v, &reads).unwrap();
-            total_msgs += exchange_ghosts(&mut v).total().msgs_sent;
+            total_msgs += exchange_ghosts(&mut v, &NULL_TRACER).total().msgs_sent;
             let mut reads = BTreeMap::new();
             reads.insert("V".to_string(), v.clone());
             run_halo_sweep(&back, &mut u, &reads).unwrap();

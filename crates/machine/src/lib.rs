@@ -47,22 +47,20 @@ pub mod transport;
 
 pub use darray::DistArray;
 pub use darray_nd::DistArrayNd;
-pub use distributed::{run_distributed, run_distributed_traced, CommMode, DistOptions};
-pub use distributed_nd::{
-    run_distributed_nd, run_distributed_nd_mode, run_distributed_nd_opts, run_distributed_nd_traced,
-};
-pub use doacross::{carried_distances, run_doacross, run_doacross_with};
+pub use distributed::{run_distributed, CommMode, DistOptions};
+pub use distributed_nd::run_distributed_nd;
+pub use doacross::{carried_distances, run_doacross};
 pub use error::MachineError;
 pub use executor::{prepare_run, DistExecutor, PreparedPlan};
-pub use halo::{exchange_ghosts, exchange_ghosts_traced, run_halo_sweep, HaloArray};
+pub use halo::{exchange_ghosts, run_halo_sweep, HaloArray};
 pub use net::ChaosPlan;
 pub use obs::{
     replay_check, replay_check_dag, trace_plan, CollectingTracer, Event, EventKind, NullTracer,
     Phase, PhaseTiming, ReplayError, ReplaySummary, TraceLog, Tracer, HOST, NULL_TRACER,
 };
 pub use perfmodel::{CalibratedModel, CalibrationSample, PerfModel, PlanPrice, SimTime};
-pub use proc::{worker_entry, worker_entry_with};
-pub use redistribute::{run_redistribution, run_redistribution_opts, run_redistribution_traced};
+pub use proc::run_worker_process;
+pub use redistribute::run_redistribution;
 pub use reduce::{run_reduce_distributed, run_reduce_shared};
 pub use sequential::run_sequential;
 pub use serve::{ServeClient, ServeConfig, ServeHandle, ServeRequest, ServeResponse};

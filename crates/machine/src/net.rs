@@ -843,7 +843,7 @@ impl Transport<Wire> for &mut SockLink {
 // chaos proxy
 // ---------------------------------------------------------------------
 
-/// Seeded byte-level fault plan for the [`ChaosProxy`] — the faults
+/// Seeded byte-level fault plan for the `ChaosProxy` — the faults
 /// only a real wire can produce, as per-data-frame probabilities.
 /// Drawn from a per-worker SplitMix64 stream (seed ⊕ node) exactly like
 /// [`crate::FaultPlan`]'s packet classifier, so chaos runs are

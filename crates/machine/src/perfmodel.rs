@@ -409,6 +409,7 @@ mod tests {
     use super::*;
     use crate::darray::DistArray;
     use crate::distributed::{run_distributed, DistOptions};
+    use crate::obs::NULL_TRACER;
     use std::collections::BTreeMap;
     use vcal_core::func::Fn1;
     use vcal_core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
@@ -482,8 +483,14 @@ mod tests {
                     DistArray::scatter_from(env.get(a).unwrap(), dm[a].clone()),
                 );
             }
-            let report =
-                run_distributed(&plan, &clause, &mut arrays, DistOptions::default()).unwrap();
+            let report = run_distributed(
+                &plan,
+                &clause,
+                &mut arrays,
+                DistOptions::default(),
+                &NULL_TRACER,
+            )
+            .unwrap();
             times.push(model.price_report(&report).total);
         }
         assert!(

@@ -1,8 +1,8 @@
 //! Real-process workers: the host side ([`ProcPool`]) and the worker
-//! side ([`worker_entry`]) of the Uds/Tcp transport backends.
+//! side ([`run_worker_process`]) of the Uds/Tcp transport backends.
 //!
 //! Every node of the distributed machine becomes an OS process running
-//! `<worker-bin> worker <addr> <node> <pmax>` — the binary named by the
+//! `<worker-bin> worker <addr> <node> <pmax> <hb_ms>` — the binary named by the
 //! `VCAL_WORKER_BIN` environment variable, or the host's own executable
 //! when unset (the `vcalc` driver implements the subcommand). Workers
 //! dial the host's [`Router`] (or a [`ChaosProxy`] in front of it),
@@ -176,6 +176,8 @@ impl ProcPool {
             .collect()
     }
 
+    /// Spawn node `p`'s process with the argv [`run_worker_process`]
+    /// parses: `worker <addr> <node> <pmax> <hb_ms>`.
     fn spawn_worker(&mut self, p: usize) -> Result<(), MachineError> {
         let child = Command::new(worker_bin()?)
             .arg("worker")
@@ -546,26 +548,21 @@ impl Drop for ProcPool {
 // worker side
 // ---------------------------------------------------------------------
 
-/// The body of a worker process (the `vcalc worker <addr> <node>
-/// <pmax>` subcommand): connect, handshake, then serve jobs until the
-/// host shuts the link down. Returns an error string suitable for
-/// stderr + nonzero exit. Uses the default heartbeat interval; pools
-/// spawn workers through [`worker_entry_with`] to install the
-/// service-level one.
-pub fn worker_entry(addr: &str, node: i64, pmax: usize) -> Result<(), String> {
-    worker_entry_with(addr, node, pmax, ProtoTimeouts::default().heartbeat_ivl)
-}
-
-/// [`worker_entry`] with an explicit idle-heartbeat interval (the
-/// optional fourth `worker` subcommand argument, in milliseconds) — how
-/// the host's [`ProtoTimeouts::heartbeat_ivl`] reaches the worker
-/// process without a wire-format change.
-pub fn worker_entry_with(
-    addr: &str,
-    node: i64,
-    pmax: usize,
-    heartbeat_ivl: Duration,
-) -> Result<(), String> {
+/// The body of a worker process: parse the argv `ProcPool` spawns it
+/// with (`<addr> <node> <pmax> <hb_ms>`, after the `worker`
+/// subcommand), connect, handshake, then serve jobs until the host
+/// shuts the link down. `hb_ms` is the host's
+/// [`ProtoTimeouts::heartbeat_ivl`], which reaches the worker this way
+/// without a wire-format change. Returns an error string suitable for
+/// stderr + nonzero exit.
+pub fn run_worker_process(argv: &[String]) -> Result<(), String> {
+    let usage = || "usage: worker <addr> <node> <pmax> <hb_ms>".to_string();
+    let [addr, node, pmax, hb_ms] = argv else {
+        return Err(usage());
+    };
+    let node: i64 = node.parse().map_err(|_| usage())?;
+    let pmax: usize = pmax.parse().map_err(|_| usage())?;
+    let heartbeat_ivl = Duration::from_millis(hb_ms.parse().map_err(|_| usage())?);
     let mut link = SockLink::connect(addr, node, pmax)
         .map_err(|e| format!("worker {node}: cannot join session: {e}"))?;
     link.set_heartbeat_ivl(heartbeat_ivl);

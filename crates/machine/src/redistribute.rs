@@ -12,13 +12,13 @@
 //! checksummed, deduplicated, and recovered via NACK/retransmit, and a
 //! panicking node surfaces as [`MachineError::NodePanicked`] instead of
 //! aborting the host. Configure faults and retries through
-//! [`run_redistribution_opts`] — the [`DistOptions::mode`] field is
+//! [`run_redistribution`]'s options — the [`DistOptions::mode`] field is
 //! ignored here because redistribution is always run-vectorized.
 
 use crate::darray::DistArray;
 use crate::distributed::{DistOptions, PACK_HEADER_BYTES};
 use crate::error::MachineError;
-use crate::obs::{EventKind, Phase, Tracer, NULL_TRACER};
+use crate::obs::{EventKind, Phase, Tracer};
 use crate::stats::{ExecReport, NodeStats};
 use crate::transport::{await_until, AwaitFail, Endpoint, Frame, WirePayload};
 use std::collections::VecDeque;
@@ -55,30 +55,13 @@ impl WirePayload for RunMsg {
     }
 }
 
-/// Execute a redistribution plan on `src` with default options. The
-/// source array's decomposition must equal `plan.from`.
+/// Execute a redistribution plan on `src`. The source array's
+/// decomposition must equal `plan.from`. `opts` supplies the receive
+/// timeout, seeded fault injection and retry policy; `opts.mode` is
+/// ignored, because redistribution always ships coalesced runs.
+/// [`EventKind::RedistSend`] / [`EventKind::RedistRecv`] events and a
+/// per-node [`Phase::Redistribute`] timing are recorded through `tracer`.
 pub fn run_redistribution(
-    plan: &RedistPlan,
-    src: &DistArray,
-) -> Result<(DistArray, ExecReport), MachineError> {
-    run_redistribution_opts(plan, src, DistOptions::default())
-}
-
-/// Like [`run_redistribution`] but with explicit [`DistOptions`] —
-/// receive timeout, seeded fault injection, and retry policy.
-/// `opts.mode` is ignored: redistribution always ships coalesced runs.
-pub fn run_redistribution_opts(
-    plan: &RedistPlan,
-    src: &DistArray,
-    opts: DistOptions,
-) -> Result<(DistArray, ExecReport), MachineError> {
-    run_redistribution_traced(plan, src, opts, &NULL_TRACER)
-}
-
-/// Like [`run_redistribution_opts`] but records [`EventKind::RedistSend`]
-/// / [`EventKind::RedistRecv`] events and a per-node
-/// [`Phase::Redistribute`] timing through `tracer`.
-pub fn run_redistribution_traced(
     plan: &RedistPlan,
     src: &DistArray,
     opts: DistOptions,
@@ -316,6 +299,7 @@ fn redistribute_node(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::NULL_TRACER;
     use crate::topology::{price_traffic, Topology};
     use crate::transport::{FaultPlan, RetryPolicy};
     use std::time::Duration;
@@ -333,7 +317,8 @@ mod tests {
         let to = Decomp1::scatter(4, Bounds::range(0, n - 1));
         let plan = RedistPlan::build(&from, &to);
         let src = DistArray::scatter_from(&ramp(n), from);
-        let (dst, report) = run_redistribution(&plan, &src).unwrap();
+        let (dst, report) =
+            run_redistribution(&plan, &src, DistOptions::default(), &NULL_TRACER).unwrap();
         assert_eq!(dst.gather().max_abs_diff(&ramp(n)), 0.0);
         assert_eq!(report.total().msgs_sent as usize, plan.message_count());
         assert_eq!(report.total().msgs_received, report.total().msgs_sent);
@@ -349,8 +334,20 @@ mod tests {
         let a = Decomp1::block_scatter(3, 5, Bounds::range(0, n - 1));
         let b = Decomp1::scatter(5, Bounds::range(0, n - 1));
         let src = DistArray::scatter_from(&ramp(n), a.clone());
-        let (mid, _) = run_redistribution(&RedistPlan::build(&a, &b), &src).unwrap();
-        let (back, _) = run_redistribution(&RedistPlan::build(&b, &a), &mid).unwrap();
+        let (mid, _) = run_redistribution(
+            &RedistPlan::build(&a, &b),
+            &src,
+            DistOptions::default(),
+            &NULL_TRACER,
+        )
+        .unwrap();
+        let (back, _) = run_redistribution(
+            &RedistPlan::build(&b, &a),
+            &mid,
+            DistOptions::default(),
+            &NULL_TRACER,
+        )
+        .unwrap();
         assert_eq!(back, src);
     }
 
@@ -360,7 +357,8 @@ mod tests {
         let d = Decomp1::block(4, Bounds::range(0, n - 1));
         let plan = RedistPlan::build(&d, &d);
         let src = DistArray::scatter_from(&ramp(n), d);
-        let (dst, report) = run_redistribution(&plan, &src).unwrap();
+        let (dst, report) =
+            run_redistribution(&plan, &src, DistOptions::default(), &NULL_TRACER).unwrap();
         assert_eq!(dst, src);
         assert_eq!(report.total().msgs_sent, 0);
         assert_eq!(report.total().local_reads, n as u64);
@@ -374,7 +372,7 @@ mod tests {
         let plan = RedistPlan::build(&d1, &d2);
         let wrong_src = DistArray::scatter_from(&ramp(n), d2);
         assert!(matches!(
-            run_redistribution(&plan, &wrong_src),
+            run_redistribution(&plan, &wrong_src, DistOptions::default(), &NULL_TRACER),
             Err(MachineError::PlanMismatch(_))
         ));
     }
@@ -397,7 +395,7 @@ mod tests {
             retry: RetryPolicy::fast(),
             ..DistOptions::default()
         };
-        let (dst, report) = run_redistribution_opts(&plan, &src, opts).unwrap();
+        let (dst, report) = run_redistribution(&plan, &src, opts, &NULL_TRACER).unwrap();
         assert_eq!(dst.gather().max_abs_diff(&ramp(n)), 0.0);
         assert!(report.total().acks_sent > 0);
     }
@@ -415,7 +413,7 @@ mod tests {
             retry: RetryPolicy::fast(),
             ..DistOptions::default()
         };
-        let err = run_redistribution_opts(&plan, &src, opts).unwrap_err();
+        let err = run_redistribution(&plan, &src, opts, &NULL_TRACER).unwrap_err();
         assert_eq!(err, MachineError::NodePanicked { node: 0 });
     }
 }

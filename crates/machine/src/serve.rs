@@ -17,7 +17,10 @@
 //! whose deadline lapses while queued, are rejected with a typed
 //! `admission:` transport error instead of being silently stalled. The
 //! wait is measured and returned as
-//! [`ServiceStats::queue_wait_ns`](crate::ServiceStats).
+//! [`ServiceStats::queue_wait_ns`](crate::ServiceStats). A slot is a
+//! permit released on drop, and a request that panics host-side is
+//! answered with [`MachineError::NodePanicked`] on the host node, so a
+//! panic never leaks a slot or kills the connection.
 //!
 //! **Tenant isolation.** Each connection declares a tenant at hello
 //! time; the FNV-1a fingerprint of the tenant name becomes the
@@ -39,11 +42,13 @@ use crate::net::{
     dial, lock, write_frame, FrameBuf, NetFail, NetListener, Sock, K_HEARTBEAT, K_SHELLO,
     K_SHELLO_OK, K_SHELLO_REJECT, K_SREQ, K_SRESP,
 };
+use crate::obs::HOST;
 use crate::session::{DistSession, PoolState, ProgramReport, ScheduleMode, SessionCaches};
 use crate::session::{TuneOptions, TuneReport};
 use crate::stats::ServiceStats;
 use crate::transport::{ProtoTimeouts, TransportKind};
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrd};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -135,16 +140,20 @@ impl Admission {
         }
     }
 
-    /// Wait for an execution slot, at most `deadline`. Returns the time
-    /// spent queued. Rejections are typed `Transport` errors with an
-    /// `admission:` detail so clients can distinguish overload from
-    /// execution failures.
-    fn acquire(&self, deadline: Duration) -> Result<Duration, MachineError> {
+    /// Wait for an execution slot, at most `deadline`. The slot is held
+    /// until the returned permit drops. Rejections are typed `Transport`
+    /// errors with an `admission:` detail so clients can distinguish
+    /// overload from execution failures.
+    fn acquire(&self, deadline: Duration) -> Result<Permit<'_>, MachineError> {
         let t0 = Instant::now();
+        let permit = |adm| Permit {
+            adm,
+            queue_wait: t0.elapsed(),
+        };
         let mut st = lock(&self.state);
         if st.in_flight < self.cap {
             st.in_flight += 1;
-            return Ok(t0.elapsed());
+            return Ok(permit(self));
         }
         if st.waiting >= self.queue_depth {
             return Err(MachineError::Transport {
@@ -176,14 +185,25 @@ impl Admission {
             if st.in_flight < self.cap {
                 st.waiting -= 1;
                 st.in_flight += 1;
-                return Ok(t0.elapsed());
+                return Ok(permit(self));
             }
         }
     }
+}
 
-    fn release(&self) {
-        lock(&self.state).in_flight -= 1;
-        self.cv.notify_one();
+/// One admitted execution slot; dropping it (also while unwinding)
+/// frees the slot for the next waiter.
+#[derive(Debug)]
+struct Permit<'a> {
+    adm: &'a Admission,
+    /// Time spent queued before admission.
+    queue_wait: Duration,
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        lock(&self.adm.state).in_flight -= 1;
+        self.adm.cv.notify_one();
     }
 }
 
@@ -405,8 +425,8 @@ fn serve_one(shared: &Arc<Shared>, ns: u64, req: ReqMsg) -> RespMsg {
     } else {
         Duration::from_millis(req.deadline_ms)
     };
-    let queue_wait = match shared.admission.acquire(deadline) {
-        Ok(w) => w,
+    let permit = match shared.admission.acquire(deadline) {
+        Ok(p) => p,
         Err(e) => {
             return RespMsg {
                 req_id,
@@ -414,8 +434,12 @@ fn serve_one(shared: &Arc<Shared>, ns: u64, req: ReqMsg) -> RespMsg {
             }
         }
     };
-    let res = run_request(shared, ns, &req);
-    shared.admission.release();
+    // a panic in host-side planning answers this request, not the
+    // connection; the permit is released either way
+    let res = catch_unwind(AssertUnwindSafe(|| run_request(shared, ns, &req)))
+        .unwrap_or(Err(MachineError::NodePanicked { node: HOST }));
+    let queue_wait = permit.queue_wait;
+    drop(permit);
     let res = res.map(|(globals, reports, tune)| {
         let mut service = service_stats(&reports, tune.as_ref());
         service.queue_wait_ns = queue_wait.as_nanos().min(u128::from(u64::MAX)) as u64;
@@ -762,12 +786,12 @@ mod tests {
         // flight must be rejected, not stalled
         let adm = Admission::new(1, 0);
         let w = adm.acquire(Duration::from_millis(100)).expect("first slot");
-        assert!(w < Duration::from_millis(100));
+        assert!(w.queue_wait < Duration::from_millis(100));
         let err = adm
             .acquire(Duration::from_millis(50))
             .expect_err("queue full");
         assert!(format!("{err}").contains("admission: queue full"));
-        adm.release();
+        drop(w);
         adm.acquire(Duration::from_millis(100))
             .expect("slot free again");
     }
@@ -775,13 +799,25 @@ mod tests {
     #[test]
     fn admission_deadline_lapses_in_queue() {
         let adm = Admission::new(1, 4);
-        adm.acquire(Duration::from_millis(100)).expect("first slot");
+        let _held = adm.acquire(Duration::from_millis(100)).expect("first slot");
         let t0 = Instant::now();
         let err = adm
             .acquire(Duration::from_millis(60))
             .expect_err("deadline must lapse");
         assert!(t0.elapsed() >= Duration::from_millis(60));
         assert!(format!("{err}").contains("admission: deadline"));
+    }
+
+    #[test]
+    fn admission_permit_is_released_by_a_panic() {
+        let adm = Admission::new(1, 1);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            let _permit = adm.acquire(Duration::from_millis(50)).expect("slot");
+            panic!("host-side planning failed");
+        }));
+        assert!(caught.is_err());
+        adm.acquire(Duration::from_millis(50))
+            .expect("the unwound permit freed its slot");
     }
 
     #[test]

@@ -21,14 +21,14 @@
 //! [`ExecReport::evictions`] and [`ProgramReport::evictions`].
 
 use crate::darray::DistArray;
-use crate::distributed::{run_distributed, run_distributed_traced, DistOptions};
+use crate::distributed::DistOptions;
 use crate::error::MachineError;
 use crate::executor::{prepare_run, DistExecutor, PreparedPlan};
 use crate::net::lock;
 use crate::obs::{CollectingTracer, EventKind, Tracer, HOST, NULL_TRACER};
 use crate::perfmodel::{CalibratedModel, CalibrationSample};
 use crate::proc::ProcPool;
-use crate::redistribute::{run_redistribution_opts, run_redistribution_traced};
+use crate::redistribute::run_redistribution;
 use crate::stats::ExecReport;
 use crate::transport::TransportKind;
 use std::collections::{BTreeMap, BTreeSet};
@@ -412,19 +412,29 @@ impl DistSession {
     /// timestep loop hits the warm path automatically after the first
     /// iteration. Results are bit-identical to the cold
     /// [`crate::run_distributed`] path.
-    pub fn run(&mut self, clause: &Clause) -> Result<ExecReport, MachineError> {
-        self.run_cached(clause, &NULL_TRACER)
-    }
-
-    /// Like [`DistSession::run`] but with an observability tracer — plan
-    /// derivation, every machine phase, and all transport traffic are
-    /// recorded through it.
-    pub fn run_traced(
+    ///
+    /// Plan derivation, every machine phase, and all transport traffic
+    /// are recorded through `tracer`.
+    pub fn run(
         &mut self,
         clause: &Clause,
         tracer: &dyn Tracer,
     ) -> Result<ExecReport, MachineError> {
-        self.run_cached(clause, tracer)
+        let (prepared, hit, evicted) = self.prepare_cached(clause)?;
+        let DistSession {
+            arrays,
+            opts,
+            pools,
+            ..
+        } = self;
+        let mut report = pools
+            .with(|p| p.run(std::slice::from_ref(&prepared), arrays, *opts, tracer))?
+            .pop()
+            .ok_or_else(|| MachineError::PlanMismatch("a 1-job wave produced no report".into()))?;
+        report.cache_hits = u64::from(hit);
+        report.cache_misses = u64::from(!hit);
+        report.evictions = evicted;
+        Ok(report)
     }
 
     /// Look up (or build and cache) the prepared plan for one clause.
@@ -462,30 +472,6 @@ impl DistSession {
         Ok((prepared, false, evicted))
     }
 
-    /// The cached warm path shared by [`DistSession::run`] and
-    /// [`DistSession::run_traced`].
-    fn run_cached(
-        &mut self,
-        clause: &Clause,
-        tracer: &dyn Tracer,
-    ) -> Result<ExecReport, MachineError> {
-        let (prepared, hit, evicted) = self.prepare_cached(clause)?;
-        let DistSession {
-            arrays,
-            opts,
-            pools,
-            ..
-        } = self;
-        let mut report = pools
-            .with(|p| p.run(std::slice::from_ref(&prepared), arrays, *opts, tracer))?
-            .pop()
-            .ok_or_else(|| MachineError::PlanMismatch("a 1-job wave produced no report".into()))?;
-        report.cache_hits = u64::from(hit);
-        report.cache_misses = u64::from(!hit);
-        report.evictions = evicted;
-        Ok(report)
-    }
-
     /// Look up (or build and cache) the dependence DAG for a program.
     /// Returns the DAG, whether it was a cache hit, and eviction count.
     fn dag_cached(&mut self, steps: &[ProgramStep]) -> (Arc<ProgramDag>, bool, u64) {
@@ -514,18 +500,18 @@ impl DistSession {
     ///
     /// [`ScheduleMode::Seq`] runs the steps in strict program order —
     /// each clause through the cached warm path, each redistribution
-    /// through [`DistSession::redistribute`] — and is the differential
+    /// as [`DistSession::redistribute`] does — and is the differential
     /// oracle. [`ScheduleMode::Dag`] builds (or recalls from the DAG
     /// cache) the program's dependence DAG and executes it wave by
     /// wave: pairwise-independent clauses of one wave are dispatched
-    /// together to the persistent in-process pool, which pipelines
+    /// together to the persistent pool, which (in-process) pipelines
     /// clause *k+1*'s sends behind clause *k*'s boundary runs and
     /// commits per-clause writes in ordinal order, so the results are
     /// bit-identical to `Seq`. Redistribution steps always run
-    /// host-side, sequentially within their wave; socket-backend
-    /// sessions ([`TransportKind::Uds`]/`Tcp`) execute wave members
-    /// sequentially too (the wave fan-out needs the shared-memory
-    /// pool), preserving the schedule's events and semantics.
+    /// host-side, sequentially within their wave. A socket-backend
+    /// pool ([`TransportKind::Uds`]/`Tcp`) has no shared-memory wave
+    /// fan-out and runs a wave's clauses one after another, in the
+    /// same ordinal order.
     ///
     /// With an enabled tracer the host records a deterministic
     /// `dag_ready` event per wave member at wave entry, `clause_begin`
@@ -558,7 +544,7 @@ impl DistSession {
                 tracer.record(HOST, EventKind::ClauseBegin { step: s });
             }
             let report = match step {
-                ProgramStep::Clause(c) => self.run_cached(c, tracer)?,
+                ProgramStep::Clause(c) => self.run(c, tracer)?,
                 ProgramStep::Redistribute { array, to } => {
                     self.redistribute_traced(array, to.clone(), tracer)?
                 }
@@ -614,26 +600,9 @@ impl DistSession {
             if clause_steps.is_empty() {
                 continue;
             }
-            if self.opts.transport != TransportKind::InProc {
-                // socket backend: no shared-memory wave fan-out — run
-                // the wave's clauses one by one, same events, same
-                // ordinal commit order
-                for &(s, c) in &clause_steps {
-                    if trace_on {
-                        tracer.record(HOST, EventKind::ClauseBegin { step: s });
-                    }
-                    let r = self.run_cached(c, tracer)?;
-                    if trace_on {
-                        tracer.record(HOST, EventKind::ClauseEnd { step: s });
-                    }
-                    evictions += r.evictions;
-                    reports[s] = Some(r);
-                }
-                continue;
-            }
-            // in-process pool: prepare every member (plans are built
-            // lazily per wave so they see post-redistribution layouts),
-            // then dispatch the whole wave at once
+            // prepare every member (plans are built lazily per wave so
+            // they see post-redistribution layouts), then dispatch the
+            // whole wave at once
             let mut jobs = Vec::with_capacity(clause_steps.len());
             let mut hits = Vec::with_capacity(clause_steps.len());
             for &(_, c) in &clause_steps {
@@ -992,26 +961,9 @@ impl DistSession {
         self.pools.with(|p| p.pids())
     }
 
-    /// Execute a prebuilt plan (reuse across sweeps).
-    pub fn run_plan(
-        &mut self,
-        plan: &SpmdPlan,
-        clause: &Clause,
-    ) -> Result<ExecReport, MachineError> {
-        run_distributed(plan, clause, &mut self.arrays, self.opts)
-    }
-
-    /// Like [`DistSession::run_plan`] but with an observability tracer.
-    pub fn run_plan_traced(
-        &mut self,
-        plan: &SpmdPlan,
-        clause: &Clause,
-        tracer: &dyn Tracer,
-    ) -> Result<ExecReport, MachineError> {
-        run_distributed_traced(plan, clause, &mut self.arrays, self.opts, tracer)
-    }
-
-    /// Build a plan once for repeated execution.
+    /// The plan of `clause` under the session's current decompositions,
+    /// for inspection and trace replay ([`DistSession::run`] plans and
+    /// caches on its own).
     pub fn plan(&self, clause: &Clause) -> Result<SpmdPlan, MachineError> {
         SpmdPlan::build(clause, &self.decomps)
             .map_err(|e| MachineError::PlanMismatch(e.to_string()))
@@ -1020,21 +972,12 @@ impl DistSession {
     /// Dynamically redistribute `name` to a new layout (Section 5
     /// extension), updating the session's decomposition map.
     pub fn redistribute(&mut self, name: &str, to: Decomp1) -> Result<ExecReport, MachineError> {
-        let current = self
-            .arrays
-            .get(name)
-            .ok_or_else(|| MachineError::UnknownArray(name.to_string()))?;
-        let plan = RedistPlan::build(current.decomp(), &to);
-        // redistribution inherits the session's fault/retry options
-        let (new_array, report) = run_redistribution_opts(&plan, current, self.opts)?;
-        self.arrays.insert(name.to_string(), new_array);
-        self.decomps.insert(name.to_string(), to);
-        self.retire_plans();
-        Ok(report)
+        self.redistribute_traced(name, to, &NULL_TRACER)
     }
 
-    /// Like [`DistSession::redistribute`] but with an observability tracer.
-    pub fn redistribute_traced(
+    /// [`DistSession::redistribute`] with an observability tracer; traced
+    /// callers reach it through [`ProgramStep::Redistribute`].
+    fn redistribute_traced(
         &mut self,
         name: &str,
         to: Decomp1,
@@ -1045,7 +988,8 @@ impl DistSession {
             .get(name)
             .ok_or_else(|| MachineError::UnknownArray(name.to_string()))?;
         let plan = RedistPlan::build(current.decomp(), &to);
-        let (new_array, report) = run_redistribution_traced(&plan, current, self.opts, tracer)?;
+        // redistribution inherits the session's fault/retry options
+        let (new_array, report) = run_redistribution(&plan, current, self.opts, tracer)?;
         self.arrays.insert(name.to_string(), new_array);
         self.decomps.insert(name.to_string(), to);
         self.retire_plans();
@@ -1131,11 +1075,9 @@ mod tests {
         dm.insert("U".into(), Decomp1::block(4, Bounds::range(0, n - 1)));
         dm.insert("V".into(), Decomp1::block(4, Bounds::range(0, n - 1)));
         let mut session = DistSession::new(&env, dm).unwrap();
-        let sweep_plan = session.plan(&sweep).unwrap();
-        let back_plan = session.plan(&back).unwrap();
         for _ in 0..4 {
-            session.run_plan(&sweep_plan, &sweep).unwrap();
-            session.run_plan(&back_plan, &back).unwrap();
+            session.run(&sweep, &NULL_TRACER).unwrap();
+            session.run(&back, &NULL_TRACER).unwrap();
         }
         assert_eq!(
             session
@@ -1170,7 +1112,7 @@ mod tests {
         let mut dm = DecompMap::new();
         dm.insert("A".into(), Decomp1::block(4, Bounds::range(0, n - 1)));
         let mut session = DistSession::new(&env, dm).unwrap();
-        session.run(&double).unwrap();
+        session.run(&double, &NULL_TRACER).unwrap();
         // switch layout mid-program
         let report = session
             .redistribute("A", Decomp1::scatter(4, Bounds::range(0, n - 1)))
@@ -1180,7 +1122,7 @@ mod tests {
             session.decomp_of("A").unwrap(),
             &Decomp1::scatter(4, Bounds::range(0, n - 1))
         );
-        session.run(&double).unwrap();
+        session.run(&double, &NULL_TRACER).unwrap();
         let got = session.gather("A").unwrap();
         for i in 0..n {
             assert_eq!(got.get(&vcal_core::Ix::d1(i)), (i * 4) as f64);
@@ -1314,14 +1256,14 @@ mod tests {
                 max_entries: 1,
                 max_bytes: usize::MAX,
             });
-        session.run(&a).unwrap();
-        let rb = session.run(&b).unwrap();
+        session.run(&a, &NULL_TRACER).unwrap();
+        let rb = session.run(&b, &NULL_TRACER).unwrap();
         assert_eq!(rb.evictions, 1, "B's insert must evict A's plan");
         // A misses again (it was evicted), and evicts B in turn
-        let ra = session.run(&a).unwrap();
+        let ra = session.run(&a, &NULL_TRACER).unwrap();
         assert_eq!(ra.cache_hits, 0);
         assert_eq!(ra.evictions, 1);
-        session.run(&b).unwrap();
+        session.run(&b, &NULL_TRACER).unwrap();
         for name in ["A", "B"] {
             assert_eq!(
                 session

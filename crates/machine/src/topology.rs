@@ -1,6 +1,6 @@
 //! Interconnect topology cost models.
 //!
-//! The paper's era targeted hypercubes (its [Kennedy89] citation is a
+//! The paper's era targeted hypercubes (its \[Kennedy89\] citation is a
 //! hypercube conference) and other static networks where a message's
 //! cost depends on the hop distance between nodes. The distributed
 //! machine records a full traffic matrix; this module prices it under

@@ -7,23 +7,23 @@
 //! survive realistic transient faults and degrade into *typed errors*
 //! (never hangs, never host aborts) when a fault is permanent:
 //!
-//! * every data payload travels as a [`Packet`]: per-flow **sequence
+//! * every data payload travels as a `Packet`: per-flow **sequence
 //!   number** (one flow per ordered `(src, dst)` node pair) plus an
 //!   FNV-1a **checksum** over the header and payload;
 //! * the receiver keeps per-source cumulative state: duplicates are
 //!   suppressed (`dups_dropped`), out-of-order arrivals are tolerated
 //!   (accepted into a `seen-ahead` window), and checksum mismatches are
 //!   counted (`corrupt_detected`) and treated as losses;
-//! * every accepted packet is acknowledged (cumulative [`Frame::Ack`],
+//! * every accepted packet is acknowledged (cumulative `Frame::Ack`,
 //!   `acks_sent`) so the sender can prune its retransmit buffer;
 //! * a receiver that is owed a value and does not get it within
-//!   [`RetryPolicy::nack_timeout`] sends a [`Frame::Nack`] carrying its
+//!   [`RetryPolicy::nack_timeout`] sends a `Frame::Nack` carrying its
 //!   cumulative `next_needed` sequence number; the sender answers by
 //!   retransmitting every retained packet from that number on
 //!   (go-back-N flavoured, `retransmits`). NACKs back off
 //!   exponentially up to [`RetryPolicy::backoff_cap`] and give up after
 //!   [`RetryPolicy::max_retries`] attempts;
-//! * when a node finishes (or fails) it broadcasts [`Frame::Done`] and
+//! * when a node finishes (or fails) it broadcasts `Frame::Done` and
 //!   *drains*: it keeps servicing NACKs until every peer has announced
 //!   completion (or a timeout cap expires), so late retransmit requests
 //!   are still answered. A panicked node announces `Done` — the analog
@@ -64,7 +64,7 @@ pub(crate) trait WirePayload: Clone {
 ///
 /// The reliability protocol (sequence numbers, checksums, NACK/go-back-N,
 /// fault injection, trace events) is written entirely against
-/// [`Endpoint`]; the carrier underneath is pluggable. `InProc` is the
+/// `Endpoint`; the carrier underneath is pluggable. `InProc` is the
 /// historical in-process `mpsc` mesh; `Uds`/`Tcp` run every node as a
 /// real OS process exchanging length-prefixed frames over Unix-domain or
 /// TCP sockets through a host-side router (see `DESIGN.md` §15).

@@ -119,8 +119,7 @@ fn main() {
 
     // ---- the same sweeps on the distributed grid machine ---------------
     use std::collections::BTreeMap;
-    use std::time::Duration;
-    use vcal_suite::machine::{run_distributed_nd, DistArrayNd};
+    use vcal_suite::machine::{run_distributed_nd, DistArrayNd, DistOptions, NULL_TRACER};
     let mut env2 = Env::new();
     env2.insert(
         "U",
@@ -142,14 +141,19 @@ fn main() {
     }
     let mut msgs = 0;
     for _ in 0..sweeps {
-        msgs += run_distributed_nd(&sweep, &mut arrays, Duration::from_secs(5))
+        msgs += run_distributed_nd(&sweep, &mut arrays, DistOptions::default(), &NULL_TRACER)
             .unwrap()
             .total()
             .msgs_sent;
-        msgs += run_distributed_nd(&copy_back, &mut arrays, Duration::from_secs(5))
-            .unwrap()
-            .total()
-            .msgs_sent;
+        msgs += run_distributed_nd(
+            &copy_back,
+            &mut arrays,
+            DistOptions::default(),
+            &NULL_TRACER,
+        )
+        .unwrap()
+        .total()
+        .msgs_sent;
     }
     let diff2 = arrays["U"]
         .gather()

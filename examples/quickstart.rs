@@ -14,7 +14,7 @@ use vcal_suite::core::{Array, Bounds, Env};
 use vcal_suite::decomp::{Decomp1, LayoutMap};
 use vcal_suite::lang;
 use vcal_suite::machine::{
-    run_distributed, run_sequential, run_shared, DistArray, DistOptions, WriteStrategy,
+    run_distributed, run_sequential, run_shared, DistArray, DistOptions, WriteStrategy, NULL_TRACER,
 };
 use vcal_suite::spmd::{self, DecompMap, SpmdPlan};
 
@@ -90,7 +90,14 @@ fn main() {
             DistArray::scatter_from(env.get(name).unwrap(), decomps[name].clone()),
         );
     }
-    let dist = run_distributed(&plan, &clause, &mut arrays, DistOptions::default()).expect("dist");
+    let dist = run_distributed(
+        &plan,
+        &clause,
+        &mut arrays,
+        DistOptions::default(),
+        &NULL_TRACER,
+    )
+    .expect("dist");
     assert_eq!(
         arrays["A"].gather().max_abs_diff(seq_env.get("A").unwrap()),
         0.0

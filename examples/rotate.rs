@@ -13,7 +13,7 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, Bounds, Env};
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::lang;
-use vcal_suite::machine::{run_distributed, DistArray, DistOptions};
+use vcal_suite::machine::{run_distributed, DistArray, DistOptions, NULL_TRACER};
 use vcal_suite::spmd::{optimize, DecompMap, SpmdPlan};
 
 fn main() {
@@ -77,7 +77,14 @@ fn main() {
             DistArray::scatter_from(env.get(a).unwrap(), dm[a].clone()),
         );
     }
-    let report = run_distributed(&plan, &clause, &mut arrays, DistOptions::default()).unwrap();
+    let report = run_distributed(
+        &plan,
+        &clause,
+        &mut arrays,
+        DistOptions::default(),
+        &NULL_TRACER,
+    )
+    .unwrap();
     let got = arrays["A"].gather();
     assert_eq!(got.max_abs_diff(expect.get("A").unwrap()), 0.0);
     println!(

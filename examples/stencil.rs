@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use vcal_suite::core::{Array, Bounds, Env};
 use vcal_suite::decomp::{Decomp1, OverlapDecomp};
 use vcal_suite::lang;
-use vcal_suite::machine::{run_distributed, DistArray, DistOptions};
+use vcal_suite::machine::{run_distributed, DistArray, DistOptions, NULL_TRACER};
 use vcal_suite::spmd::{CommStats, DecompMap, SpmdPlan};
 
 fn main() {
@@ -90,9 +90,22 @@ fn main() {
         }
         let mut total_msgs = 0;
         for _ in 0..sweeps {
-            let r1 = run_distributed(&plan, &clause, &mut arrays, DistOptions::default()).unwrap();
-            let r2 =
-                run_distributed(&plan_back, &back, &mut arrays, DistOptions::default()).unwrap();
+            let r1 = run_distributed(
+                &plan,
+                &clause,
+                &mut arrays,
+                DistOptions::default(),
+                &NULL_TRACER,
+            )
+            .unwrap();
+            let r2 = run_distributed(
+                &plan_back,
+                &back,
+                &mut arrays,
+                DistOptions::default(),
+                &NULL_TRACER,
+            )
+            .unwrap();
             total_msgs += r1.total().msgs_sent + r2.total().msgs_sent;
         }
         let got = arrays["U"].gather();

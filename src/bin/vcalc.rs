@@ -49,10 +49,10 @@ use std::time::Duration;
 use vcal_suite::core::{Array, Env};
 use vcal_suite::lang;
 use vcal_suite::machine::{
-    build_dag, replay_check, replay_check_dag, run_distributed, run_distributed_traced,
-    worker_entry_with, CollectingTracer, DistArray, DistOptions, DistSession, PerfModel,
-    ProgramStep, ScheduleMode, ServeClient, ServeConfig, ServeHandle, ServeRequest, SimdPolicy,
-    TransportKind, TuneOptions, NULL_TRACER,
+    build_dag, replay_check, replay_check_dag, run_distributed, run_worker_process,
+    CollectingTracer, DistArray, DistOptions, DistSession, PerfModel, ProgramStep, ScheduleMode,
+    ServeClient, ServeConfig, ServeHandle, ServeRequest, SimdPolicy, TransportKind, TuneOptions,
+    NULL_TRACER,
 };
 use vcal_suite::spmd::{emit, PlanSummary, SpmdPlan};
 
@@ -112,7 +112,7 @@ fn usage() -> &'static str {
                  [--tune-budget <K>] [--retune-every <N>] [--deadline-ms <N>]\n\
      compiles the program locally, submits it to a running service, and\n\
      verifies the response bit-exactly against the sequential reference.\n\
-     (vcalc worker <addr> <node> <pmax> [hb_ms] is the internal worker entry.)"
+     (vcalc worker <addr> <node> <pmax> <hb_ms> is the internal worker entry.)"
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -268,12 +268,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // internal: `vcalc worker <addr> <node> <pmax> [hb_ms]` is the entry
+    // internal: `vcalc worker <addr> <node> <pmax> <hb_ms>` is the entry
     // point the socket backends spawn for each node process
     if args.first().map(String::as_str) == Some("worker") {
-        return match worker_args(&args[1..])
-            .and_then(|(addr, node, pmax, hb)| worker_entry_with(&addr, node, pmax, hb))
-        {
+        return match run_worker_process(&args[1..]) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {
                 eprintln!("vcalc worker: {msg}");
@@ -313,26 +311,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-fn worker_args(rest: &[String]) -> Result<(String, i64, usize, Duration), String> {
-    if rest.len() != 3 && rest.len() != 4 {
-        return Err("usage: vcalc worker <addr> <node> <pmax> [hb_ms]".into());
-    }
-    let node = rest[1]
-        .parse::<i64>()
-        .map_err(|_| "worker <node> must be an integer".to_string())?;
-    let pmax = rest[2]
-        .parse::<usize>()
-        .map_err(|_| "worker <pmax> must be a non-negative integer".to_string())?;
-    let hb = match rest.get(3) {
-        None => Duration::ZERO, // keep the built-in default interval
-        Some(ms) => Duration::from_millis(
-            ms.parse::<u64>()
-                .map_err(|_| "worker [hb_ms] must be a non-negative integer".to_string())?,
-        ),
-    };
-    Ok((rest[0].clone(), node, pmax, hb))
 }
 
 /// Parse `vcalc serve` flags into a [`ServeConfig`].
@@ -600,6 +578,12 @@ fn drive(opts: &Options) -> Result<(), String> {
 
     let clauses = lang::compile(&program_src).map_err(|e| e.to_string())?;
     let spec = lang::parse_spec(&spec_src).map_err(|e| e.to_string())?;
+    if !(0..spec.pmax).contains(&opts.node) {
+        return Err(format!(
+            "--node {} is not a processor of this layout (0..{})",
+            opts.node, spec.pmax
+        ));
+    }
 
     println!(
         "compiled {} clause(s) for {} processors\n",
@@ -929,8 +913,8 @@ fn run_timestep_loop(
         for (n, clause) in clauses.iter().enumerate() {
             let tracer = (opts.trace && last).then(CollectingTracer::new);
             let report = match &tracer {
-                Some(t) => session.run_traced(clause, t),
-                None => session.run(clause),
+                Some(t) => session.run(clause, t),
+                None => session.run(clause, &NULL_TRACER),
             }
             .map_err(|e| format!("step {step}, clause {n}: {e}"))?;
             hits += report.cache_hits;
@@ -1032,8 +1016,8 @@ fn run_and_verify(
     };
     let tracer = opts.trace.then(CollectingTracer::new);
     let report = match &tracer {
-        Some(t) => run_distributed_traced(plan, clause, &mut arrays, dist_opts, t),
-        None => run_distributed(plan, clause, &mut arrays, dist_opts),
+        Some(t) => run_distributed(plan, clause, &mut arrays, dist_opts, t),
+        None => run_distributed(plan, clause, &mut arrays, dist_opts, &NULL_TRACER),
     }
     .map_err(|e| e.to_string())?;
     let diff = arrays[&clause.lhs.array]

@@ -14,7 +14,7 @@ use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexS
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
     run_distributed, CommMode, DistArray, DistOptions, FaultPlan, MachineError, NodeStats,
-    RetryPolicy,
+    RetryPolicy, NULL_TRACER,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
@@ -75,7 +75,7 @@ fn run_mode(
         mode,
         ..DistOptions::default()
     };
-    let report = run_distributed(plan, cl, &mut arrays, opts)
+    let report = run_distributed(plan, cl, &mut arrays, opts, &NULL_TRACER)
         .unwrap_or_else(|e| panic!("{ctx} [{mode:?}]: {e}"));
     assert_eq!(
         arrays["A"]
@@ -221,7 +221,8 @@ fn dropped_packet_recovered_by_retransmission() {
         retry: RetryPolicy::fast(),
         ..DistOptions::default()
     };
-    let report = run_distributed(&plan, &cl, &mut arrays, opts).expect("recoverable drop");
+    let report =
+        run_distributed(&plan, &cl, &mut arrays, opts, &NULL_TRACER).expect("recoverable drop");
     let total = report.total();
     assert!(
         total.retransmits > 0,
@@ -253,7 +254,7 @@ fn dropped_packet_detected_within_timeout() {
         ..DistOptions::default()
     };
     let t0 = Instant::now();
-    let err = run_distributed(&plan, &cl, &mut arrays, opts).unwrap_err();
+    let err = run_distributed(&plan, &cl, &mut arrays, opts, &NULL_TRACER).unwrap_err();
     let elapsed = t0.elapsed();
     match err {
         MachineError::MissingPacket { peer, .. } => {

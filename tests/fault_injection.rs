@@ -27,9 +27,9 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::{Decomp1, RedistPlan};
 use vcal_suite::machine::{
-    build_dag, run_distributed, run_redistribution_opts, CommMode, DistArray, DistOptions,
-    DistSession, ExecReport, FaultPlan, MachineError, ProgramStep, RetryPolicy, ScheduleMode,
-    TransportKind, NULL_TRACER,
+    build_dag, run_distributed, run_redistribution, CommMode, DistArray, DistOptions, DistSession,
+    ExecReport, FaultPlan, MachineError, ProgramStep, RetryPolicy, ScheduleMode, TransportKind,
+    NULL_TRACER,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
@@ -128,7 +128,7 @@ fn run_faulty(
         transport: transport(),
         ..DistOptions::default()
     };
-    let res = run_distributed(plan, cl, &mut arrays, opts);
+    let res = run_distributed(plan, cl, &mut arrays, opts, &NULL_TRACER);
     (res, arrays)
 }
 
@@ -410,7 +410,7 @@ proptest! {
             retry: RetryPolicy::fast(),
             ..DistOptions::default()
         };
-        let (dst, _report) = match run_redistribution_opts(&plan, &src, opts) {
+        let (dst, _report) = match run_redistribution(&plan, &src, opts, &NULL_TRACER) {
             Ok(ok) => ok,
             Err(e) => return Err(TestCaseError::fail(format!("redistribution: {e}"))),
         };

@@ -7,7 +7,7 @@ use vcal_suite::core::{Array, Bounds, Env};
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::lang;
 use vcal_suite::machine::{
-    run_distributed, run_sequential, run_shared, DistArray, DistOptions, WriteStrategy,
+    run_distributed, run_sequential, run_shared, DistArray, DistOptions, WriteStrategy, NULL_TRACER,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
@@ -87,7 +87,14 @@ fn fig1_executes_identically_on_all_machines() {
                 DistArray::scatter_from(env.get(name).unwrap(), dm[name].clone()),
             );
         }
-        run_distributed(&plan, &clause, &mut arrays, DistOptions::default()).unwrap();
+        run_distributed(
+            &plan,
+            &clause,
+            &mut arrays,
+            DistOptions::default(),
+            &NULL_TRACER,
+        )
+        .unwrap();
         assert_eq!(
             arrays["A"]
                 .gather()

@@ -36,7 +36,8 @@ use vcal_suite::core::{
 };
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
-    run_distributed, CommMode, DistArray, DistOptions, FaultPlan, RetryPolicy, SimdMode, SimdPolicy,
+    run_distributed, CommMode, DistArray, DistOptions, FaultPlan, RetryPolicy, SimdMode,
+    SimdPolicy, NULL_TRACER,
 };
 use vcal_suite::spmd::{CompiledKernel, CompiledSchedule, DecompMap, SpmdPlan};
 
@@ -230,7 +231,7 @@ fn run_dist(
         simd,
         ..DistOptions::default()
     };
-    run_distributed(&plan, cl, &mut arrays, opts).map_err(|e| e.to_string())?;
+    run_distributed(&plan, cl, &mut arrays, opts, &NULL_TRACER).map_err(|e| e.to_string())?;
     Ok(arrays["A"].gather())
 }
 
@@ -450,6 +451,7 @@ fn simd_census_plan_matches_runtime() {
                 simd,
                 ..DistOptions::default()
             },
+            &NULL_TRACER,
         )
         .unwrap();
         let ran = report.simd_census();

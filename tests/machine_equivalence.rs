@@ -12,7 +12,9 @@ use vcal_suite::core::{
     Array, ArrayRef, Bounds, Clause, CmpOp, Env, Expr, Guard, IndexSet, Ordering,
 };
 use vcal_suite::decomp::Decomp1;
-use vcal_suite::machine::{run_distributed, run_shared, DistArray, DistOptions, WriteStrategy};
+use vcal_suite::machine::{
+    run_distributed, run_shared, DistArray, DistOptions, WriteStrategy, NULL_TRACER,
+};
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
 /// Random monotone-or-piecewise access function with its valid loop range
@@ -158,8 +160,14 @@ fn randomized_equivalence_sweep() {
                     DistArray::scatter_from(env.get(name).unwrap(), dm[name].clone()),
                 );
             }
-            run_distributed(&plan, &clause, &mut arrays, DistOptions::default())
-                .unwrap_or_else(|e| panic!("distributed failed: {e} — {ctx}"));
+            run_distributed(
+                &plan,
+                &clause,
+                &mut arrays,
+                DistOptions::default(),
+                &NULL_TRACER,
+            )
+            .unwrap_or_else(|e| panic!("distributed failed: {e} — {ctx}"));
             assert_eq!(
                 arrays["A"]
                     .gather()
@@ -221,7 +229,14 @@ fn self_referential_parallel_clause() {
             DistArray::scatter_from(env.get(name).unwrap(), dm[name].clone()),
         );
     }
-    run_distributed(&plan, &clause, &mut arrays, DistOptions::default()).unwrap();
+    run_distributed(
+        &plan,
+        &clause,
+        &mut arrays,
+        DistOptions::default(),
+        &NULL_TRACER,
+    )
+    .unwrap();
     assert_eq!(
         arrays["A"]
             .gather()
@@ -262,7 +277,14 @@ fn many_processors_small_problem() {
             DistArray::scatter_from(env.get(name).unwrap(), dm[name].clone()),
         );
     }
-    run_distributed(&plan, &clause, &mut arrays, DistOptions::default()).unwrap();
+    run_distributed(
+        &plan,
+        &clause,
+        &mut arrays,
+        DistOptions::default(),
+        &NULL_TRACER,
+    )
+    .unwrap();
     assert_eq!(
         arrays["A"]
             .gather()

@@ -11,7 +11,9 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::map::{DimFn, IndexMap};
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::{Decomp1, DecompNd};
-use vcal_suite::machine::{run_distributed_nd, run_shared_nd, DistArrayNd};
+use vcal_suite::machine::{
+    run_distributed_nd, run_shared_nd, DistArrayNd, DistOptions, NULL_TRACER,
+};
 use vcal_suite::spmd::optimize_nd;
 
 fn axis_decomp(kind: u8, pmax: i64, n: i64) -> Decomp1 {
@@ -142,8 +144,16 @@ fn randomized_grid_machine_equivalence() {
             "R".into(),
             DistArrayNd::scatter_from(env.get("R").unwrap(), dec_r.clone()),
         );
-        run_distributed_nd(&clause, &mut arrays, Duration::from_secs(10))
-            .unwrap_or_else(|e| panic!("trial {trial}: {e}"));
+        run_distributed_nd(
+            &clause,
+            &mut arrays,
+            DistOptions {
+                recv_timeout: Duration::from_secs(10),
+                ..DistOptions::default()
+            },
+            &NULL_TRACER,
+        )
+        .unwrap_or_else(|e| panic!("trial {trial}: {e}"));
         assert_eq!(
             arrays["W"]
                 .gather()

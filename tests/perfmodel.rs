@@ -155,11 +155,11 @@ fn calibrated_prediction_tracks_measurement() {
     }
     let mut session = DistSession::new(&env, dm.clone()).unwrap();
     // one cold step to warm plans and the pool
-    session.run(&clause).unwrap();
+    session.run(&clause, &NULL_TRACER).unwrap();
     // one warm, traced, wall-clocked step
     let tracer = CollectingTracer::new();
     let t0 = std::time::Instant::now();
-    let report = session.run_traced(&clause, &tracer).unwrap();
+    let report = session.run(&clause, &tracer).unwrap();
     let measured_ns = t0.elapsed().as_nanos() as f64;
     let sample = CalibrationSample::of(&report, &tracer.finish());
     assert!(sample.iterations > 0, "profile saw no iterations");

@@ -75,6 +75,7 @@ fn run_mode(
             mode,
             ..DistOptions::default()
         },
+        &NULL_TRACER,
     )
     .unwrap()
 }
@@ -180,6 +181,7 @@ fn reliability_counters_fire_with_faults_and_quiet_predicate_flips() {
             retry: RetryPolicy::fast(),
             ..DistOptions::default()
         },
+        &NULL_TRACER,
     )
     .unwrap();
     let t = report.total();

@@ -28,8 +28,8 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
-    replay_check, run_distributed, run_distributed_traced, CollectingTracer, CommMode, DistArray,
-    DistOptions, DistSession, FaultPlan, MachineError, RetryPolicy,
+    replay_check, run_distributed, CollectingTracer, CommMode, DistArray, DistOptions, DistSession,
+    FaultPlan, MachineError, RetryPolicy, NULL_TRACER,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
@@ -144,9 +144,9 @@ fn run_cold(
     let opts = opts_for(mode, faults);
     for _ in 0..steps {
         let plan = SpmdPlan::build(&sweep, dm).unwrap();
-        run_distributed(&plan, &sweep, &mut arrays, opts).unwrap();
+        run_distributed(&plan, &sweep, &mut arrays, opts, &NULL_TRACER).unwrap();
         let plan = SpmdPlan::build(&back, dm).unwrap();
-        run_distributed(&plan, &back, &mut arrays, opts).unwrap();
+        run_distributed(&plan, &back, &mut arrays, opts, &NULL_TRACER).unwrap();
     }
     (arrays["U"].gather(), arrays["V"].gather())
 }
@@ -165,8 +165,8 @@ fn run_warm(
         .unwrap()
         .with_options(opts_for(mode, faults));
     for step in 0..steps {
-        let r1 = session.run(&sweep).unwrap();
-        let r2 = session.run(&back).unwrap();
+        let r1 = session.run(&sweep, &NULL_TRACER).unwrap();
+        let r2 = session.run(&back, &NULL_TRACER).unwrap();
         if step == 0 {
             assert_eq!((r1.cache_hits, r1.cache_misses), (0, 1), "first sweep");
             assert_eq!((r2.cache_hits, r2.cache_misses), (0, 1), "first back");
@@ -206,16 +206,16 @@ fn warm_trace_matches_cold_and_replays() {
         let mut arrays = dist_arrays(&env0, &dm);
         let plan = SpmdPlan::build(&sweep, &dm).unwrap();
         let cold_tracer = CollectingTracer::new();
-        run_distributed_traced(&plan, &sweep, &mut arrays, opts, &cold_tracer).unwrap();
+        run_distributed(&plan, &sweep, &mut arrays, opts, &cold_tracer).unwrap();
         let cold_log = cold_tracer.finish();
 
         let mut session = DistSession::new(&env0, dm.clone())
             .unwrap()
             .with_options(opts);
         // prime the cache so the traced run below is a warm (pooled) run
-        session.run(&sweep).unwrap();
+        session.run(&sweep, &NULL_TRACER).unwrap();
         let warm_tracer = CollectingTracer::new();
-        let report = session.run_traced(&sweep, &warm_tracer).unwrap();
+        let report = session.run(&sweep, &warm_tracer).unwrap();
         assert_eq!(report.cache_hits, 1, "{mode:?}: traced run was not warm");
         let warm_log = warm_tracer.finish();
 
@@ -243,23 +243,23 @@ fn redistribute_invalidates_cache() {
     }
 
     let mut session = DistSession::new(&env0, dm).unwrap();
-    session.run(&sweep).unwrap();
-    session.run(&back).unwrap();
-    let r = session.run(&sweep).unwrap();
+    session.run(&sweep, &NULL_TRACER).unwrap();
+    session.run(&back, &NULL_TRACER).unwrap();
+    let r = session.run(&sweep, &NULL_TRACER).unwrap();
     assert_eq!(r.cache_hits, 1);
 
     // layout change: block -> scatter (decomposition replacement)
     session
         .redistribute("U", Decomp1::scatter(PMAX, Bounds::range(0, N - 1)))
         .unwrap();
-    let r = session.run(&back).unwrap();
+    let r = session.run(&back, &NULL_TRACER).unwrap();
     assert_eq!(
         (r.cache_hits, r.cache_misses),
         (0, 1),
         "redistribute must invalidate"
     );
-    session.run(&sweep).unwrap();
-    session.run(&back).unwrap();
+    session.run(&sweep, &NULL_TRACER).unwrap();
+    session.run(&back, &NULL_TRACER).unwrap();
 
     assert_eq!(
         session
@@ -286,19 +286,19 @@ fn crashed_worker_retires_cleanly() {
                 .unwrap()
                 .with_options(opts_for(mode, None));
             // warm the pool and the cache with a clean run first
-            session.run(&sweep).unwrap();
+            session.run(&sweep, &NULL_TRACER).unwrap();
             // inject a crash into the pooled path
             session.set_options(opts_for(
                 mode,
                 Some(FaultPlan::seeded(7).with_crash(node, 1)),
             ));
-            match session.run(&sweep) {
+            match session.run(&sweep, &NULL_TRACER) {
                 Err(MachineError::NodePanicked { node: n }) => assert_eq!(n, node, "{mode:?}"),
                 other => panic!("{mode:?} node {node}: expected NodePanicked, got {other:?}"),
             }
             // the session must survive: clear the faults and run again
             session.set_options(opts_for(mode, None));
-            let report = session.run(&sweep).unwrap();
+            let report = session.run(&sweep, &NULL_TRACER).unwrap();
             assert_eq!(report.cache_hits, 1, "{mode:?}: plan cache lost");
             assert_eq!(
                 session

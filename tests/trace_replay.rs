@@ -19,8 +19,8 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
-    replay_check, run_distributed_traced, CollectingTracer, CommMode, DistArray, DistOptions,
-    EventKind, FaultPlan, ReplayError, ReplaySummary, RetryPolicy, TraceLog, TransportKind,
+    replay_check, run_distributed, CollectingTracer, CommMode, DistArray, DistOptions, EventKind,
+    FaultPlan, ReplayError, ReplaySummary, RetryPolicy, TraceLog, TransportKind,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
@@ -113,7 +113,7 @@ fn traced_run(
         ..DistOptions::default()
     };
     let tracer = CollectingTracer::new();
-    run_distributed_traced(plan, cl, &mut arrays, opts, &tracer).map_err(|e| e.to_string())?;
+    run_distributed(plan, cl, &mut arrays, opts, &tracer).map_err(|e| e.to_string())?;
     let log = tracer.finish();
     let summary = replay_check(&log, plan, mode, opts.retry).map_err(|e| e.to_string())?;
     Ok((summary, log.to_jsonl(), log))
@@ -229,7 +229,7 @@ fn overlap_log_has_runs_replays_and_is_deterministic() {
             ..DistOptions::default()
         };
         let tracer = CollectingTracer::new();
-        run_distributed_traced(&plan, &cl, &mut arrays, opts, &tracer).unwrap();
+        run_distributed(&plan, &cl, &mut arrays, opts, &tracer).unwrap();
         let off_log = tracer.finish();
         let s_off = replay_check(&off_log, &plan, mode, opts.retry).unwrap();
         assert_eq!(s_on.send_elems, s_off.send_elems, "{mode:?}");

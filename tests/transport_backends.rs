@@ -30,10 +30,10 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
-    run_distributed, ChaosPlan, CollectingTracer, DistOptions, DistSession, FaultPlan,
-    MachineError, RetryPolicy, TransportKind,
+    replay_check_dag, run_distributed, ChaosPlan, CollectingTracer, DistOptions, DistSession,
+    FaultPlan, MachineError, ProgramStep, RetryPolicy, ScheduleMode, TransportKind, NULL_TRACER,
 };
-use vcal_suite::spmd::DecompMap;
+use vcal_suite::spmd::{build_dag, DecompMap};
 
 const N: i64 = 96;
 const PMAX: i64 = 4;
@@ -107,8 +107,8 @@ fn run_session(
     for _ in 0..steps {
         for cl in clauses {
             match tracer {
-                Some(t) => session.run_traced(cl, t)?,
-                None => session.run(cl)?,
+                Some(t) => session.run(cl, t)?,
+                None => session.run(cl, &NULL_TRACER)?,
             };
         }
     }
@@ -144,6 +144,88 @@ fn all_backends_match_sequential_oracle() {
                 kind.name()
             );
         }
+    }
+}
+
+/// A 3-clause program whose first wave is two independent clauses:
+/// `V := f(U)` and `W := g(U)` share only a read of `U`; `U := V + W`
+/// depends on both.
+fn wave_fixture() -> (Vec<ProgramStep>, DecompMap, Env) {
+    let clause = |lhs: &str, rhs: Expr| {
+        ProgramStep::Clause(Clause {
+            iter: IndexSet::range(1, N - 2),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::d1(lhs, Fn1::identity()),
+            rhs,
+        })
+    };
+    let read = |name: &str, s: i64| Expr::Ref(ArrayRef::d1(name, Fn1::shift(s)));
+    let steps = vec![
+        clause(
+            "V",
+            Expr::mul(Expr::add(read("U", -1), read("U", 1)), Expr::Lit(0.5)),
+        ),
+        clause("W", Expr::add(read("U", 1), Expr::Lit(1.0))),
+        clause("U", Expr::add(read("V", 0), read("W", -1))),
+    ];
+    let (_, mut dm, mut env) = fixture();
+    env.insert(
+        "W",
+        Array::from_fn(Bounds::range(0, N - 1), |i| i.scalar() as f64 * 0.25),
+    );
+    dm.insert("W".into(), Decomp1::block(PMAX, Bounds::range(0, N - 1)));
+    (steps, dm, env)
+}
+
+/// A traced DAG schedule on a socket backend: the width-2 wave runs its
+/// clauses one after another on the worker processes, ends bitwise
+/// equal to `Seq` and to the sequential oracle, and its trace is a
+/// valid linear extension of the DAG.
+#[test]
+fn traced_dag_waves_on_uds_match_seq_and_replay() {
+    init();
+    let (steps, dm, env) = wave_fixture();
+    let dag = build_dag(&steps, &dm);
+    assert_eq!(dag.width(), 2, "the fixture must have a width-2 wave");
+    let mut reference = env.clone();
+    for step in &steps {
+        if let ProgramStep::Clause(c) = step {
+            reference.exec_clause(c);
+        }
+    }
+    let opts = DistOptions {
+        transport: TransportKind::Uds,
+        ..DistOptions::default()
+    };
+    let mut seq = DistSession::new(&env, dm.clone())
+        .expect("session")
+        .with_options(opts);
+    seq.run_program(&steps, ScheduleMode::Seq, &NULL_TRACER)
+        .expect("seq over uds");
+    let mut dag_session = DistSession::new(&env, dm.clone())
+        .expect("session")
+        .with_options(opts);
+    let tracer = CollectingTracer::new();
+    let rep = dag_session
+        .run_program(&steps, ScheduleMode::Dag, &tracer)
+        .expect("dag over uds");
+    assert_eq!((rep.waves, rep.dag_width), (2, 2));
+    replay_check_dag(&tracer.finish(), &dag).expect("uds DAG trace satisfies the DAG");
+    let bits = |a: &Array| a.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let (got_seq, got_dag) = (seq.gather_all(), dag_session.gather_all());
+    for name in ["U", "V", "W"] {
+        let want = bits(reference.get(name).expect("oracle array"));
+        assert_eq!(
+            bits(got_seq.get(name).expect("seq array")),
+            want,
+            "seq `{name}`"
+        );
+        assert_eq!(
+            bits(got_dag.get(name).expect("dag array")),
+            want,
+            "dag `{name}`"
+        );
     }
 }
 
@@ -241,7 +323,7 @@ fn chaos_sever_and_truncate_recover_or_fail_typed() {
             .with_options(opts);
         let mut ran_ok = true;
         for cl in &clauses {
-            if let Err(e) = session.run(cl) {
+            if let Err(e) = session.run(cl, &NULL_TRACER) {
                 // typed, never a panic/hang; arrays must be untouched
                 assert!(
                     matches!(
@@ -302,7 +384,9 @@ fn killed_worker_is_typed_untouched_and_session_recovers() {
         });
 
     // run 1: clean — spawns the pool and proves it works
-    session.run(sweep).expect("clean run over uds");
+    session
+        .run(sweep, &NULL_TRACER)
+        .expect("clean run over uds");
     let after_one = session.gather_all();
     let pids = session.worker_pids();
     assert_eq!(pids.len(), PMAX as usize, "one process per node");
@@ -324,7 +408,9 @@ fn killed_worker_is_typed_untouched_and_session_recovers() {
             .status();
     });
     let t0 = Instant::now();
-    let err = session.run(sweep).expect_err("victim was killed");
+    let err = session
+        .run(sweep, &NULL_TRACER)
+        .expect_err("victim was killed");
     killer.join().expect("killer thread");
     assert!(
         t0.elapsed() < Duration::from_secs(60),
@@ -359,7 +445,7 @@ fn killed_worker_is_typed_untouched_and_session_recovers() {
         ..DistOptions::default()
     });
     session
-        .run(sweep)
+        .run(sweep, &NULL_TRACER)
         .expect("session must survive a dead worker");
     let mut reference = after_one.clone();
     reference.exec_clause(sweep);
@@ -416,7 +502,7 @@ proptest! {
             retry: RetryPolicy::fast(),
             ..DistOptions::default()
         };
-        if let Err(e) = run_distributed(&plan, sweep, &mut arrays, opts) {
+        if let Err(e) = run_distributed(&plan, sweep, &mut arrays, opts, &NULL_TRACER) {
             return Err(TestCaseError::fail(format!("{}: {e}", kind.name())));
         }
         prop_assert_eq!(

@@ -360,3 +360,22 @@ fn bad_inputs_fail_cleanly() {
     assert!(!ok);
     assert!(stderr.contains("usage"), "{stderr}");
 }
+
+#[test]
+fn node_outside_layout_is_rejected() {
+    let prog = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/vcalc/guarded_copy.vc"
+    );
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/vcalc/layout.dspec");
+    for node in ["99", "-1"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_vcalc"))
+            .args([prog, spec, "--emit", "dist", "--node", node])
+            .output()
+            .expect("vcalc binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--node {node}: {stderr}");
+        assert!(stderr.contains("is not a processor"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
